@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -115,6 +115,8 @@ class DegResSampling:
         rng: random.Random,
         own_degrees: bool = True,
     ) -> None:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
         if d1 < 1:
             raise ValueError(f"d1 must be >= 1, got {d1}")
         if d2 < 1:
@@ -193,56 +195,65 @@ class DegResSampling:
         ``degree_after[i]`` must be the post-increment degree of ``a[i]``
         (as produced by :meth:`DegreeCounter.increment_batch`);
         ``grouping`` optionally reuses a precomputed stable
-        ``(order, starts, ends)`` grouping of ``a`` so Algorithm 2 can
-        share one sort across its α runs.  ``crossings`` optionally
-        passes the ascending positions where ``degree_after == d1``
-        (Star Detection extracts every guess's crossings from one shared
-        scan of the chunk instead of ``O(α log n)`` full rescans).
+        ``(order, starts, ends[, group_vertices[, composite]])`` grouping
+        of ``a`` so Algorithm 2 can share one sort across its α runs.
+        ``crossings`` optionally passes the ascending positions where
+        ``degree_after == d1`` (Star Detection extracts every guess's
+        crossings from one shared scan of the chunk instead of
+        ``O(α log n)`` full rescans).
 
         The reservoir only changes at the rare positions where a vertex
         crosses ``d1``.  Those crossings replay the exact scalar logic in
-        stream order (bit-identical RNG trajectory), while recording each
-        vertex's *residency window* — admission position to eviction.
-        Witness collection then runs once per end-resident vertex:
-        its chunk occurrences (one shared grouping pass) are clipped to
-        its window and the first ``d2 - len(stored)`` are appended.
-        Appends to vertices evicted later in the chunk are skipped — the
-        per-item path discards those lists at eviction anyway — so the
-        final state is bit-identical to item-at-a-time processing.
+        stream order (bit-identical RNG trajectory), while recording the
+        admission position of every vertex admitted inside the chunk.
+        Witness collection then runs once per *chunk vertex* still
+        resident at the chunk's end — never per reservoir slot: its
+        chunk occurrences (one shared grouping pass) are clipped to its
+        residency window and the first ``d2 - len(stored)`` are
+        appended.  Appends to vertices evicted later in the chunk are
+        skipped — the per-item path discards those lists at eviction
+        anyway — so the final state is bit-identical to item-at-a-time
+        processing.
         """
         n_items = len(a)
         if n_items == 0:
             return
         if crossings is None:
             crossings = np.flatnonzero(degree_after == self.d1)
-        windows = self._replay_crossings(a, b, crossings)
-        if not windows:
+        admissions = self._replay_crossings(a, b, crossings)
+        if not self._reservoir:
             return
-        requests = self._witness_requests(windows, n_items)
+        if grouping is None:
+            grouping = group_slices(a)
+        order = grouping[0]
+        if len(grouping) > 3:
+            chunk_vertices = grouping[3]
+        else:
+            chunk_vertices = a[order[grouping[1]]]
+        requests = self._witness_requests(
+            admissions, set(chunk_vertices.tolist()), n_items
+        )
         if not requests[0]:
             return
-        composite = None
-        if grouping is None:
-            order, _, _ = group_slices(a)
-        elif len(grouping) == 5:
-            order, composite = grouping[0], grouping[4]
+        if len(grouping) == 5:
+            composite = grouping[4]
         else:
-            order = grouping[0]
-        if composite is None:
             composite = a[order] * np.int64(n_items) + order
         collect_witnesses([(self,) + requests], composite, order, b)
 
     def _replay_crossings(
         self, a: np.ndarray, b: np.ndarray, crossings: np.ndarray
     ) -> Dict[int, int]:
-        """Replay reservoir maintenance for a chunk; return residency windows.
+        """Replay reservoir maintenance for a chunk; return its admissions.
 
-        ``windows[v]`` is the first chunk position from which resident
-        vertex ``v`` may collect witnesses (0 for vertices resident
-        before the chunk; admission position + 1 for vertices admitted
-        inside it — the crossing item itself is stored at admission).
+        ``admissions[v]`` is the first chunk position from which vertex
+        ``v``, admitted inside this chunk and still resident at its end,
+        may collect witnesses: admission position + 1, since the
+        crossing item itself is stored at admission.  Vertices resident
+        before the chunk are not listed (their window starts at 0), so
+        the cost is the chunk's crossings, not the reservoir size.
         """
-        windows: Dict[int, int] = dict.fromkeys(self._resident, 0)
+        admissions: Dict[int, int] = {}
         if len(crossings):
             # Inlined :meth:`_cross` replay: same branch conditions and
             # the same RNG bit consumption, so the trajectory — and with
@@ -273,7 +284,7 @@ class DegResSampling:
                 ):
                     reservoir[vertex] = [witness]
                     resident.append(vertex)
-                    windows[vertex] = position + 1
+                    admissions[vertex] = position + 1
                 seen += take
             # Phase 2 — the reservoir is (and stays) full: one
             # ``random()`` per candidate, plus — on admission — the
@@ -300,37 +311,42 @@ class DegResSampling:
                         if slot < len(resident):
                             resident[slot] = last
                         del reservoir[evicted]
-                        windows.pop(evicted, None)
+                        admissions.pop(evicted, None)
                         # Admitted: the crossing item itself is the
                         # vertex's first chance to collect (d2 >= 1,
                         # fresh list => always appends).
                         reservoir[vertex] = [witness]
                         resident.append(vertex)
-                        windows[vertex] = position + 1
+                        admissions[vertex] = position + 1
             self._candidates_seen = seen
-        return windows
+        return admissions
 
-    def _witness_requests(self, windows: Dict[int, int], n_items: int):
+    def _witness_requests(
+        self, admissions: Dict[int, int], chunk_vertices: Set[int], n_items: int
+    ):
         """Collection requests for one chunk as flat Python lists.
 
-        Returns ``(active, needs, low_keys, high_keys)``: the resident
-        vertices still short of ``d2`` witnesses, how many each may take,
-        and their composite-key search targets (see
-        :func:`collect_witnesses`).  Building the integer keys here keeps
-        the numpy side to two bulk calls regardless of how many runs
-        share the pass.
+        Returns ``(active, needs, low_keys, high_keys)``: the chunk's
+        vertices that are resident and short of ``d2`` witnesses, how
+        many each may take, and their composite-key search targets (see
+        :func:`collect_witnesses`).  A window starts at the in-chunk
+        admission position, or 0 for vertices resident before the chunk.
+        Intersecting the reservoir with ``chunk_vertices`` walks the
+        smaller side, so the cost never grows with ``s`` beyond the
+        chunk's distinct count.  Building the integer keys here keeps the
+        numpy side to two bulk calls however many runs share the pass.
         """
         reservoir, d2 = self._reservoir, self.d2
         active: List[int] = []
         needs: List[int] = []
         low_keys: List[int] = []
         high_keys: List[int] = []
-        for vertex, window_start in windows.items():
+        for vertex in reservoir.keys() & chunk_vertices:
             remaining = d2 - len(reservoir[vertex])
             if remaining > 0:
                 active.append(vertex)
                 needs.append(remaining)
-                low_keys.append(vertex * n_items + window_start)
+                low_keys.append(vertex * n_items + admissions.get(vertex, 0))
                 high_keys.append((vertex + 1) * n_items)
         return active, needs, low_keys, high_keys
 
@@ -375,8 +391,10 @@ class DegResSampling:
             raise ValueError("Deg-Res-Sampling only supports insertion-only streams")
         a = np.ascontiguousarray(a, dtype=np.int64)
         b = np.ascontiguousarray(b, dtype=np.int64)
-        degree_after = self._degrees.increment_batch(a)
-        self.observe_batch(a, b, degree_after)
+        # One stable grouping serves the degree update and collection.
+        grouping = group_slices(a)
+        degree_after = self._degrees.increment_batch(a, grouping=grouping)
+        self.observe_batch(a, b, degree_after, grouping=grouping)
 
     def process(self, stream: EdgeStream) -> "DegResSampling":
         """Consume an entire insertion-only stream; returns self."""

@@ -79,7 +79,7 @@ class InsertionOnlyFEwW:
             raise ValueError(f"alpha must be an integer >= 1, got {alpha}")
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        if d > 0 and n < 1:
+        if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
         self.d = d
@@ -208,12 +208,15 @@ class InsertionOnlyFEwW:
         and non-empty.
 
         The α runs' witness-collection tails are fused: each run replays
-        its own (rare) crossings in Python, then a single
+        its own (rare) crossings in Python and lists its requests per
+        distinct chunk vertex (``group_vertices``) — so a run costs the
+        chunk's size, not its reservoir's — then a single
         :func:`~repro.core.deg_res_sampling.collect_witnesses` pass
         serves every run's occurrence searches and gathers at once.
         State per run is bit-identical to fanning the chunk run by run.
         """
         n_items = len(a)
+        chunk_vertices = set(grouping[3].tolist())
         requests = []
         for run in self.runs:
             run_crossings = (
@@ -221,10 +224,10 @@ class InsertionOnlyFEwW:
                 if crossings is None
                 else crossings.get(run.d1)
             )
-            windows = run._replay_crossings(a, b, run_crossings)
-            if not windows:
+            admissions = run._replay_crossings(a, b, run_crossings)
+            if not run._reservoir:
                 continue
-            request = run._witness_requests(windows, n_items)
+            request = run._witness_requests(admissions, chunk_vertices, n_items)
             if request[0]:
                 requests.append((run,) + request)
         if not requests:

@@ -30,6 +30,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             DegResSampling(10, 1, 1, 0, rng)
 
+    @pytest.mark.parametrize("own_degrees", [True, False])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_non_positive_n_in_both_modes(self, n, own_degrees):
+        """The check must not hinge on the standalone degree counter."""
+        with pytest.raises(ValueError, match="n must be positive"):
+            DegResSampling(n, 1, 1, 1, random.Random(0), own_degrees=own_degrees)
+
     def test_rejects_deletions(self):
         algorithm = DegResSampling(10, 1, 1, 1, random.Random(0))
         with pytest.raises(ValueError):

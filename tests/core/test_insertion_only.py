@@ -26,6 +26,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InsertionOnlyFEwW(10, 0, 1)
 
+    @pytest.mark.parametrize("own_degrees", [True, False])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_non_positive_n(self, n, own_degrees):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            InsertionOnlyFEwW(n, 5, 2, seed=0, own_degrees=own_degrees)
+
     def test_reservoir_size_formula(self):
         assert reservoir_size(100, 1) == math.ceil(math.log(100) * 100)
         assert reservoir_size(100, 2) == math.ceil(math.log(100) * 10)
