@@ -37,8 +37,10 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.neighbourhood import AlgorithmFailed, Neighbourhood
+from repro.sketch.exact import check_equal_lengths
 from repro.sketch.l0 import L0SamplerBank
 from repro.spacemeter import SpaceBreakdown, vertex_words
+from repro.streams.columnar import group_slices
 from repro.streams.edge import Edge, StreamItem, insert_signs
 from repro.streams.stream import EdgeStream
 
@@ -177,6 +179,9 @@ class InsertionDeletionFEwW:
         re-sorting or re-netting.  All sketches involved are linear, so
         the final state is identical to item-by-item processing.
         """
+        check_equal_lengths("a", a, "b", b)
+        if sign is not None:
+            check_equal_lengths("a", a, "sign", sign)
         self._result_cache = None
         self._updates_seen += len(a)
         a = np.ascontiguousarray(a, dtype=np.int64)
@@ -330,11 +335,20 @@ class InsertionDeletionFEwW:
             if witnesses:
                 collected.setdefault(a, set()).update(witnesses)
         if self._edge_bank is not None:
-            for flat in self._edge_bank.sample_all():
-                if flat is None:
-                    continue
-                edge = Edge.from_flat_index(flat, self.m)
-                collected.setdefault(edge.a, set()).add(edge.b)
+            draws = [flat for flat in self._edge_bank.sample_all() if flat is not None]
+            if draws:
+                vertices, witnesses = np.divmod(np.array(draws, dtype=np.int64), self.m)
+                order, starts, ends = group_slices(vertices)
+                witnesses = witnesses[order].tolist()
+                # Groups visited by first draw (``order`` is stable, so
+                # ``order[starts]`` is each vertex's first draw): new keys
+                # enter ``collected`` in the order a per-draw loop would
+                # add them, which result()'s tie-break depends on.
+                for group in np.argsort(order[starts]).tolist():
+                    start, end = int(starts[group]), int(ends[group])
+                    collected.setdefault(int(vertices[order[start]]), set()).update(
+                        witnesses[start:end]
+                    )
         self._result_cache = collected
         return collected
 

@@ -35,8 +35,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-#: Bumped whenever the manifest/payload layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bumped whenever the manifest/payload layout changes incompatibly
+#: (2: fast-mode sampler banks pickle their support as two arrays and a
+#: draw seed, not a dict and an RNG).
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Default number of source chunks between snapshots.
 DEFAULT_CHECKPOINT_EVERY = 64

@@ -9,7 +9,8 @@ bank mode (see :mod:`repro.sketch.l0`).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from collections.abc import Mapping
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -125,6 +126,54 @@ class DegreeCounter:
 _FLUSH_PENDING = 1 << 18
 
 
+def check_equal_lengths(
+    first_name: str, first, second_name: str, second
+) -> None:
+    """Reject two update columns of different lengths.
+
+    NumPy would broadcast a length-1 column over the other one, silently
+    applying one value to every coordinate; fail at the call instead.
+    """
+    if len(first) != len(second):
+        raise ValueError(
+            f"{first_name} and {second_name} must have equal lengths, got "
+            f"{len(first)} and {len(second)}"
+        )
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_EMPTY = _readonly(np.zeros(0, dtype=np.int64))
+
+
+class _SupportView(Mapping):
+    """Read-only ``coordinate → value`` mapping over sorted arrays."""
+
+    __slots__ = ("coords", "nets")
+
+    def __init__(self, coords: np.ndarray, nets: np.ndarray) -> None:
+        self.coords = coords
+        self.nets = nets
+
+    def __getitem__(self, index: int) -> int:
+        position = int(np.searchsorted(self.coords, index))
+        if position < len(self.coords) and self.coords[position] == index:
+            return int(self.nets[position])
+        raise KeyError(index)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.coords.tolist())
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def items(self):
+        return zip(self.coords.tolist(), self.nets.tolist())
+
+
 class ExactSupport:
     """Exact support of a signed integer vector under updates.
 
@@ -132,58 +181,68 @@ class ExactSupport:
     state of the accelerated ℓ₀-sampler bank.  Not space-metered: it is
     simulator state, never charged to a streaming algorithm.
 
-    Batch updates are *deferred*: :meth:`update_batch` only appends the
-    (validated, copied) coordinate and delta columns to a pending list,
-    and every read path consolidates them with one vectorized
-    ``np.unique`` + scatter-add netting pass.  The vector is linear in
-    its updates, so deferring and netting cannot change any final value;
-    the consolidated state is identical to applying ``update`` item by
-    item.
+    The consolidated vector is two read-only ``int64`` arrays: the
+    sorted non-zero coordinates and their values.  Every update is
+    *deferred*: :meth:`update` and :meth:`update_batch` only buffer
+    (validated, copied) columns, and the next read consolidates the
+    buffer and the arrays with one ``np.unique`` + scatter-add netting
+    pass.  :meth:`merge` buffers the other side's arrays the same way and
+    consolidates once.  The vector is linear in its updates, so
+    deferring and netting cannot change any final value; the state is
+    identical to applying ``update`` item by item.  Pickles and copies
+    hold just the two arrays, so they cost a few buffer copies however
+    large the support is.
     """
 
     def __init__(self, dim: int) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
         self.dim = dim
-        self._store: Dict[int, int] = {}
+        self._coords = _EMPTY
+        self._nets = _EMPTY
         self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._scalars: List[Tuple[int, int]] = []
         self._pending_len = 0
 
     @property
-    def _values(self) -> Dict[int, int]:
-        """The consolidated coordinate → value dict (flushes pending)."""
-        if self._pending:
+    def _values(self) -> "_SupportView":
+        """Read-only coordinate → value mapping over the consolidated
+        arrays (flushes pending updates)."""
+        if self._pending_len:
             self._flush()
-        return self._store
+        return _SupportView(self._coords, self._nets)
 
     def _flush(self) -> None:
-        """Net every pending batch into the consolidated dict at once."""
-        pending = self._pending
+        """Net every pending update into the consolidated arrays at once."""
+        coords = [column for column, _ in self._pending]
+        nets = [column for _, column in self._pending]
+        if self._scalars:
+            scalars = np.array(self._scalars, dtype=np.int64)
+            coords.append(scalars[:, 0])
+            nets.append(scalars[:, 1])
+        coords.append(self._coords)
+        nets.append(self._nets)
         self._pending = []
+        self._scalars = []
         self._pending_len = 0
-        coords = [column for column, _ in pending]
-        nets = [column for _, column in pending]
-        store = self._store
-        if store:
-            coords.append(np.fromiter(store.keys(), np.int64, len(store)))
-            nets.append(np.fromiter(store.values(), np.int64, len(store)))
         unique, inverse = np.unique(np.concatenate(coords), return_inverse=True)
         total = np.zeros(len(unique), dtype=np.int64)
         np.add.at(total, inverse, np.concatenate(nets))
         live = total != 0
-        self._store = dict(zip(unique[live].tolist(), total[live].tolist()))
+        self._coords = _readonly(unique[live])
+        self._nets = _readonly(total[live])
+
+    def _buffered(self, length: int) -> None:
+        self._pending_len += length
+        if self._pending_len >= _FLUSH_PENDING:
+            self._flush()
 
     def update(self, index: int, delta: int) -> None:
-        """Apply ``vector[index] += delta``, dropping zeros."""
+        """Apply ``vector[index] += delta`` (validated, then deferred)."""
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} out of range [0, {self.dim})")
-        if self._pending:
-            self._flush()
-        new_value = self._store.get(index, 0) + delta
-        if new_value == 0:
-            self._store.pop(index, None)
-        else:
-            self._store[index] = new_value
+        self._scalars.append((index, delta))
+        self._buffered(1)
 
     def update_batch(self, indices: np.ndarray, deltas: np.ndarray) -> None:
         """Queue a batch of signed updates (validated, then deferred).
@@ -191,6 +250,7 @@ class ExactSupport:
         The columns are copied before buffering, so callers may hand in
         views of reused chunk buffers (e.g. shared-memory segments).
         """
+        check_equal_lengths("indices", indices, "deltas", deltas)
         if len(indices) == 0:
             return
         indices = np.asarray(indices)
@@ -203,16 +263,16 @@ class ExactSupport:
                 np.array(np.asarray(deltas), dtype=np.int64),
             )
         )
-        self._pending_len += len(indices)
-        if self._pending_len >= _FLUSH_PENDING:
-            self._flush()
+        self._buffered(len(indices))
 
     def merge(self, other: "ExactSupport") -> "ExactSupport":
         """Coordinate-wise sum of two supports over disjoint sub-streams.
 
         The tracked vector is linear, so the merged support equals the
         support of the concatenated update stream exactly (cancellations
-        across shards drop out here, at merge time).
+        across shards drop out here, at merge time).  The other side's
+        consolidated arrays join this side's buffer and everything is
+        netted in one pass.
         """
         if not isinstance(other, ExactSupport):
             raise ValueError(
@@ -223,13 +283,17 @@ class ExactSupport:
                 f"cannot merge ExactSupport over dim={self.dim} with "
                 f"dim={other.dim}"
             )
-        for index, value in other._values.items():
-            self.update(index, value)
+        theirs = other._values
+        # Consolidated arrays are never written in place, so sharing
+        # them with ``other`` is safe.
+        self._pending.append((theirs.coords, theirs.nets))
+        self._pending_len += len(theirs)
+        self._flush()
         return self
 
     def support(self) -> List[int]:
         """Sorted list of non-zero coordinates."""
-        return sorted(self._values)
+        return self._values.coords.tolist()
 
     def support_size(self) -> int:
         return len(self._values)
@@ -238,7 +302,21 @@ class ExactSupport:
         return self._values.get(index, 0)
 
     def items(self) -> Iterator[Tuple[int, int]]:
+        """``(coordinate, value)`` pairs in ascending coordinate order."""
         return iter(self._values.items())
 
     def __contains__(self, index: int) -> bool:
         return index in self._values
+
+    def __getstate__(self):
+        # Consolidate first: a pickle or copy holds just the two arrays.
+        values = self._values
+        return {"dim": self.dim, "_coords": values.coords, "_nets": values.nets}
+
+    def __setstate__(self, state) -> None:
+        self.dim = state["dim"]
+        self._coords = _readonly(state["_coords"])
+        self._nets = _readonly(state["_nets"])
+        self._pending = []
+        self._scalars = []
+        self._pending_len = 0

@@ -31,8 +31,14 @@ needs.  It has two modes:
   from the support with an independent seeded RNG.  Distributionally
   this matches a bank of ideal ℓ₀-samplers; space is *accounted* with
   the paper's formula via :func:`l0_sampler_space_words`.  This keeps
-  Algorithm 3 runnable at benchmark sizes in pure Python.  The
-  equivalence of the two modes is property-tested in
+  Algorithm 3 runnable at benchmark sizes in pure Python.  The state
+  is flat: the support is two sorted ``int64`` arrays
+  (:class:`~repro.sketch.exact.ExactSupport`) and the draw RNG is a
+  64-bit seed until the first :meth:`L0SamplerBank.sample_all` builds
+  the ``random.Random`` from it.  So building, pickling, copying,
+  splitting and merging a bank cost a few array copies, not one Python
+  object per coordinate or a 625-word Mersenne Twister state per bank.
+  The equivalence of the two modes is property-tested in
   ``tests/sketch/test_l0.py``.
 """
 
@@ -45,7 +51,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.sketch.exact import ExactSupport
+from repro.sketch.exact import ExactSupport, check_equal_lengths
 from repro.sketch.hashing import (
     PRIME_61,
     KWiseHash,
@@ -252,6 +258,7 @@ class L0Sampler:
         recovery objects.  Final state matches item-by-item updates
         exactly — the sketch is linear.
         """
+        check_equal_lengths("indices", indices, "deltas", deltas)
         if len(indices) == 0:
             return
         if int(indices.min()) < 0 or int(indices.max()) >= self.dim:
@@ -450,7 +457,7 @@ class L0SamplerBank:
                 else None
             )
             self._support: Optional[ExactSupport] = None
-            self._draw_rng: Optional[random.Random] = None
+            self._draw_seed: Optional[int] = None
             # Buffered (indices, deltas, already-netted) update columns,
             # consolidated by _flush_updates (see _BANK_FLUSH_PENDING).
             self._pending: List[Tuple[np.ndarray, np.ndarray, bool]] = []
@@ -460,7 +467,10 @@ class L0SamplerBank:
             self._samplers = []
             self._level_stack = None
             self._support = ExactSupport(dim)
-            self._draw_rng = random.Random(rng.getrandbits(64))
+            self._draw_seed = rng.getrandbits(64)
+        # Fast mode builds the draw RNG from ``_draw_seed`` at the first
+        # sample_all(); until then the bank pickles without its state.
+        self._draw_rng: Optional[random.Random] = None
 
     def _stack_planes(self) -> None:
         """Stack all samplers' accumulator planes into bank 4-D arrays.
@@ -527,6 +537,7 @@ class L0SamplerBank:
         skip re-netting.  Linearity makes the final state bit-identical
         to eager item-by-item fan-out.
         """
+        check_equal_lengths("indices", indices, "deltas", deltas)
         if len(indices) == 0:
             return
         indices = np.ascontiguousarray(indices, dtype=np.int64)
@@ -707,10 +718,10 @@ class L0SamplerBank:
         """Merge two banks over disjoint sub-streams of one vector.
 
         Exact mode merges the underlying linear sketches sampler by
-        sampler; fast mode merges the tracked supports (the draw RNG of
-        ``self`` is retained, so a bank reassembled from same-seed shards
-        answers :meth:`sample_all` bit-identically to a single-pass
-        bank).
+        sampler; fast mode merges the tracked supports (the draw seed and
+        RNG of ``self`` are retained, so a bank reassembled from same-seed
+        shards answers :meth:`sample_all` bit-identically to a
+        single-pass bank).
         """
         if not isinstance(other, L0SamplerBank):
             raise ValueError(
@@ -737,16 +748,19 @@ class L0SamplerBank:
         if self.mode == "exact":
             self._flush_updates()
             return [sampler.sample() for sampler in self._samplers]
-        assert self._support is not None and self._draw_rng is not None
+        assert self._support is not None and self._draw_seed is not None
         support = self._support.support()
         if not support:
             return [None] * self.count
+        if self._draw_rng is None:
+            self._draw_rng = random.Random(self._draw_seed)
+        rng = self._draw_rng
         results: List[Optional[int]] = []
         for _ in range(self.count):
-            if self._draw_rng.random() < self.delta:
+            if rng.random() < self.delta:
                 results.append(None)
             else:
-                results.append(self._draw_rng.choice(support))
+                results.append(rng.choice(support))
         return results
 
     def space_words(self) -> int:
@@ -838,6 +852,9 @@ class L0EdgeBank:
         b: np.ndarray,
         sign: Optional[np.ndarray] = None,
     ) -> None:
+        check_equal_lengths("a", a, "b", b)
+        if sign is not None:
+            check_equal_lengths("a", a, "sign", sign)
         if len(a) == 0:
             return
         self._started = True

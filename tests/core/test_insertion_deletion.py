@@ -1,8 +1,11 @@
 """Tests for Algorithm 3 (insertion-deletion FEwW): Theorem 5.4."""
 
+import copy
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.insertion_deletion import (
@@ -181,3 +184,114 @@ class TestSpace:
     def test_threshold_uses_ceiling(self):
         algorithm = InsertionDeletionFEwW(16, 16, 7, 2, seed=0, scale=0.2)
         assert algorithm.threshold == math.ceil(7 / 2) == 4
+
+
+class TestBatchColumns:
+    def test_unequal_a_and_b_rejected(self):
+        algorithm = InsertionDeletionFEwW(4, 4, 2, 1, seed=0, scale=0.2)
+        with pytest.raises(ValueError, match="a and b .* got 3 and 1"):
+            algorithm.process_batch(
+                np.array([1, 1, 1]), np.array([0]), sign=None
+            )
+        assert not algorithm.successful
+
+    def test_unequal_sign_rejected(self):
+        algorithm = InsertionDeletionFEwW(4, 4, 2, 1, seed=0, scale=0.2)
+        with pytest.raises(ValueError, match="a and sign .* got 2 and 1"):
+            algorithm.process_batch(
+                np.array([1, 1]), np.array([0, 1]), sign=np.array([1])
+            )
+        assert not algorithm.successful
+
+
+def _legacy_collected(algorithm):
+    """Frozen copy of the per-draw decode loop that ``_collected`` used
+    before edge draws were split with one ``np.divmod``."""
+    collected = {}
+    for a, bank in algorithm._vertex_banks.items():
+        witnesses = {b for b in bank.sample_all() if b is not None}
+        if witnesses:
+            collected.setdefault(a, set()).update(witnesses)
+    if algorithm._edge_bank is not None:
+        for flat in algorithm._edge_bank.sample_all():
+            if flat is None:
+                continue
+            edge = Edge.from_flat_index(flat, algorithm.m)
+            collected.setdefault(edge.a, set()).add(edge.b)
+    return collected
+
+
+def _tied_stream(n=16, m=64):
+    """Vertices 2, 5, 9 and 13 end with exactly ceil(d/α) = 4 live
+    witnesses each (after churn); every other vertex keeps at most 2."""
+    a, b, sign = [], [], []
+    for vertex in (2, 5, 9, 13):
+        for witness in range(4):
+            a.append(vertex), b.append(vertex + 3 * witness), sign.append(INSERT)
+        a.append(vertex), b.append(60), sign.append(INSERT)
+    for vertex in range(n):
+        if vertex not in (2, 5, 9, 13):
+            for witness in (vertex, vertex + 20):
+                a.append(vertex), b.append(witness), sign.append(INSERT)
+    for vertex in (2, 5, 9, 13):
+        a.append(vertex), b.append(60), sign.append(DELETE)
+    return (
+        np.array(a, dtype=np.int64),
+        np.array(b, dtype=np.int64),
+        np.array(sign, dtype=np.int64),
+    )
+
+
+class TestDecodePin:
+    @pytest.mark.parametrize(
+        "strategy", [SamplingStrategy.BOTH, SamplingStrategy.EDGE]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_collected_matches_per_draw_loop(self, strategy, seed):
+        algorithm = InsertionDeletionFEwW(
+            16, 64, 8, 2, seed=seed, strategy=strategy, scale=0.5
+        )
+        algorithm.process_batch(*_tied_stream())
+        legacy = _legacy_collected(copy.deepcopy(algorithm))
+        collected = algorithm._collected()
+        tied = [v for v, w in collected.items() if len(w) == algorithm.threshold]
+        assert len(tied) >= 2
+        assert list(collected) == list(legacy)
+        assert [list(w) for w in collected.values()] == [
+            list(w) for w in legacy.values()
+        ]
+        assert algorithm.result().vertex == next(
+            v for v, w in legacy.items() if len(w) >= algorithm.threshold
+        )
+
+
+class TestCompactState:
+    def test_fresh_instance_pickles_small(self):
+        algorithm = InsertionDeletionFEwW(1024, 1024, 256, 2, seed=0, scale=0.1)
+        assert len(pickle.dumps(algorithm)) <= 256 * 1024
+
+    @pytest.mark.parametrize("drawn_first", [False, True])
+    def test_split_merge_keeps_every_bank_draw(self, drawn_first):
+        config = GeneratorConfig(n=32, m=32, seed=4)
+        stream = deletion_churn_stream(config, 8, 60)
+        a = np.array([item.edge.a for item in stream], dtype=np.int64)
+        b = np.array([item.edge.b for item in stream], dtype=np.int64)
+        sign = np.array([item.sign for item in stream], dtype=np.int64)
+
+        def banks(algorithm):
+            return list(algorithm._vertex_banks.values()) + [algorithm._edge_bank]
+
+        single = InsertionDeletionFEwW(32, 32, 8, 2, seed=6, scale=0.3)
+        single.process_batch(a, b, sign)
+        reference = [[bank.sample_all() for _ in range(2)] for bank in banks(single)]
+        left, right = InsertionDeletionFEwW(32, 32, 8, 2, seed=6, scale=0.3).split(2)
+        left.process_batch(a[::2], b[::2], sign[::2])
+        right.process_batch(a[1::2], b[1::2], sign[1::2])
+        merged = left.merge(right)
+        rounds = 1 if drawn_first else 0
+        before = [[bank.sample_all() for _ in range(rounds)] for bank in banks(merged)]
+        merged = pickle.loads(pickle.dumps(merged))
+        after = [
+            [bank.sample_all() for _ in range(2 - rounds)] for bank in banks(merged)
+        ]
+        assert [x + y for x, y in zip(before, after)] == reference

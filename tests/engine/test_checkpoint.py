@@ -4,12 +4,27 @@ import json
 
 import pytest
 
+from repro.core.insertion_deletion import InsertionDeletionFEwW
 from repro.engine.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
     CheckpointError,
     CheckpointStore,
 )
+
+_UNPICKLED = []
+
+
+def _record_unpickle():
+    _UNPICKLED.append(True)
+    return _Tripwire()
+
+
+class _Tripwire:
+    """Records every time a payload holding it is unpickled."""
+
+    def __reduce__(self):
+        return (_record_unpickle, ())
 
 
 class TestRoundTrip:
@@ -127,6 +142,26 @@ class TestDamageRejection:
         manifest.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="format version"):
             store.load("run")
+
+    def test_version_one_manifest_rejected_before_unpickling(self, tmp_path):
+        """Version-1 payloads pickle the old dict-backed support layout;
+        a version-1 manifest is refused before its payload is read."""
+        _UNPICKLED.clear()
+        store = CheckpointStore(tmp_path)
+        algorithm = InsertionDeletionFEwW(8, 8, 4, 2, seed=0, scale=0.2)
+        store.save("run", {"alg3": algorithm, "probe": _Tripwire()},
+                   chunk_index=3, position=192)
+        assert type(store.load("run").state["probe"]) is _Tripwire
+        _UNPICKLED.clear()
+        manifest = tmp_path / "run.manifest.json"
+        data = json.loads(manifest.read_text())
+        data["format_version"] = 1
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="format version 1"):
+            store.load("run")
+        with pytest.raises(CheckpointError, match="format version 1"):
+            store.try_load("run")
+        assert _UNPICKLED == []
 
     def test_no_stray_temp_files_after_save(self, tmp_path):
         self._saved(tmp_path)

@@ -1,5 +1,9 @@
 """Unit tests for exact counters and support tracking."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,3 +104,136 @@ class TestExactSupport:
                 del reference[index]
         assert support.support() == sorted(reference)
         assert dict(support.items()) == reference
+
+    def test_unequal_batch_lengths_rejected(self):
+        support = ExactSupport(10)
+        with pytest.raises(ValueError, match="got 3 and 1"):
+            support.update_batch(np.array([1, 2, 3]), np.array([5]))
+        assert support.support() == []
+
+    def test_pickle_holds_only_the_consolidated_arrays(self):
+        support = ExactSupport(100)
+        support.update_batch(np.array([7, 3, 7]), np.array([1, 2, -1]))
+        support.update(50, 4)
+        state = support.__getstate__()
+        assert set(state) == {"dim", "_coords", "_nets"}
+        assert state["_coords"].tolist() == [3, 50]
+        assert state["_nets"].tolist() == [2, 4]
+
+
+DIM = 12
+_index = st.integers(-2, DIM + 1)
+_delta = st.integers(-3, 3)
+_updates = st.lists(st.tuples(_index, _delta), max_size=12)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("update"), _index, _delta),
+        st.tuples(st.just("batch"), _updates),
+        st.tuples(st.just("merge"), _updates, st.booleans()),
+        st.tuples(st.just("pickle")),
+        st.tuples(st.just("deepcopy")),
+    ),
+    max_size=25,
+)
+
+
+def _in_range(updates):
+    return all(0 <= index < DIM for index, _ in updates)
+
+
+def _apply_to_oracle(oracle, updates):
+    for index, delta in updates:
+        oracle[index] = oracle.get(index, 0) + delta
+        if oracle[index] == 0:
+            del oracle[index]
+
+
+def _feed(support, updates, batched):
+    """Feed updates either as one batch or item by item; out-of-range
+    input must raise and leave ``support`` as it was."""
+    if batched:
+        support.update_batch(
+            np.array([index for index, _ in updates], dtype=np.int64),
+            np.array([delta for _, delta in updates], dtype=np.int64),
+        )
+    else:
+        for index, delta in updates:
+            support.update(index, delta)
+
+
+class TestExactSupportAgainstDictOracle:
+    """Random interleavings of every mutator and of pickle/deepcopy
+    round-trips, checked after each step against a plain dict."""
+
+    @staticmethod
+    def _check(support, oracle):
+        assert support.support() == sorted(oracle)
+        assert support.support_size() == len(oracle)
+        assert list(support.items()) == sorted(oracle.items())
+        for index in range(DIM):
+            assert support.value(index) == oracle.get(index, 0)
+            assert (index in support) == (index in oracle)
+        assert 0 not in dict(support.items()).values()
+
+    @given(_operations)
+    def test_matches_dict_oracle(self, operations):
+        support = ExactSupport(DIM)
+        oracle = {}
+        for operation in operations:
+            kind = operation[0]
+            if kind == "update":
+                _, index, delta = operation
+                if 0 <= index < DIM:
+                    support.update(index, delta)
+                    _apply_to_oracle(oracle, [(index, delta)])
+                else:
+                    with pytest.raises(ValueError, match="out of range"):
+                        support.update(index, delta)
+            elif kind == "batch":
+                updates = operation[1]
+                if _in_range(updates):
+                    _feed(support, updates, batched=True)
+                    _apply_to_oracle(oracle, updates)
+                else:
+                    with pytest.raises(ValueError, match="out of range"):
+                        _feed(support, updates, batched=True)
+            elif kind == "merge":
+                _, updates, batched = operation
+                other = ExactSupport(DIM)
+                kept = [(i, d) for i, d in updates if 0 <= i < DIM]
+                _feed(other, kept, batched)
+                support.merge(other)
+                _apply_to_oracle(oracle, kept)
+                # The merged-from side is left as it was.
+                expected = {}
+                _apply_to_oracle(expected, kept)
+                self._check(other, expected)
+            elif kind == "pickle":
+                duplicate = pickle.loads(pickle.dumps(support))
+            else:
+                duplicate = copy.deepcopy(support)
+            if kind in ("pickle", "deepcopy"):
+                self._check(duplicate, oracle)
+                # The copy is independent of the original.
+                duplicate.update(DIM - 1, -1)
+                self._check(support, oracle)
+                support = duplicate
+                _apply_to_oracle(oracle, [(DIM - 1, -1)])
+            self._check(support, oracle)
+
+    @given(_updates, _updates)
+    def test_merge_equals_single_pass(self, left_updates, right_updates):
+        left_updates = [(i, d) for i, d in left_updates if 0 <= i < DIM]
+        right_updates = [(i, d) for i, d in right_updates if 0 <= i < DIM]
+        single, left, right = ExactSupport(DIM), ExactSupport(DIM), ExactSupport(DIM)
+        _feed(single, left_updates + right_updates, batched=False)
+        _feed(left, left_updates, batched=True)
+        _feed(right, right_updates, batched=False)
+        left.merge(right)
+        assert list(left.items()) == list(single.items())
+
+    def test_merge_rejects_other_dims_and_types(self):
+        with pytest.raises(ValueError, match="dim=12 with dim=13"):
+            ExactSupport(DIM).merge(ExactSupport(13))
+        with pytest.raises(ValueError, match="cannot merge ExactSupport"):
+            ExactSupport(DIM).merge({})

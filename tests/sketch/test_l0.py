@@ -1,11 +1,19 @@
 """Unit and statistical tests for the ℓ₀-sampler and the sampler bank."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.sketch.l0 import L0Sampler, L0SamplerBank, l0_sampler_space_words
+from repro.sketch.l0 import (
+    L0EdgeBank,
+    L0Sampler,
+    L0SamplerBank,
+    l0_sampler_space_words,
+)
 
 
 class TestL0SamplerBasics:
@@ -165,3 +173,107 @@ class TestBankModes:
         assert bank.space_words() == sum(
             sampler.space_words() for sampler in bank._samplers
         )
+
+
+class TestUnequalColumns:
+    """A length-1 column must not broadcast over a longer one."""
+
+    @pytest.mark.parametrize("mode", L0SamplerBank.MODES)
+    def test_bank_rejects_unequal_lengths(self, mode):
+        bank = L0SamplerBank(16, 3, 0.05, random.Random(0), mode=mode)
+        with pytest.raises(ValueError, match="got 3 and 1"):
+            bank.update_batch(np.array([1, 2, 3]), np.array([5]))
+        assert bank.sample_all() == [None] * 3
+
+    def test_sampler_rejects_unequal_lengths(self):
+        sampler = L0Sampler(16, 0.05, random.Random(0))
+        with pytest.raises(ValueError, match="got 1 and 2"):
+            sampler.update_batch(np.array([4]), np.array([1, 1]))
+        assert sampler.sample() is None
+
+    def test_edge_bank_rejects_unequal_lengths(self):
+        bank = L0EdgeBank(4, 4, 3, seed=0)
+        with pytest.raises(ValueError, match="a and b .* got 3 and 1"):
+            bank.process_batch(np.array([1, 1, 1]), np.array([0]))
+        with pytest.raises(ValueError, match="a and sign .* got 2 and 1"):
+            bank.process_batch(np.array([1, 2]), np.array([0, 0]), np.array([1]))
+        assert bank.sample_all() == [None] * 3
+
+
+def _draws(bank, rounds):
+    return [bank.sample_all() for _ in range(rounds)]
+
+
+def _fed_fast_bank(seed=11):
+    bank = L0SamplerBank(256, 40, 0.05, random.Random(seed), mode="fast")
+    rng = np.random.default_rng(seed)
+    indices = rng.integers(0, 256, size=300)
+    bank.update_batch(indices, np.ones(300, dtype=np.int64))
+    bank.update_batch(indices[:120], -np.ones(120, dtype=np.int64))
+    bank.update(7, 1)
+    return bank
+
+
+def _pickled(bank):
+    return pickle.loads(pickle.dumps(bank))
+
+
+class TestFastBankDrawsSurviveCopies:
+    """``sample_all()`` sequences of a fast bank are a function of its
+    seed and its vector only: pickling, copying, or splitting and
+    merging it changes none of them, before or after the first draw."""
+
+    @pytest.mark.parametrize("transform", [_pickled, copy.deepcopy])
+    @pytest.mark.parametrize("drawn_first", [False, True])
+    def test_pickle_and_deepcopy(self, transform, drawn_first):
+        reference = _draws(_fed_fast_bank(), 3)
+        bank = _fed_fast_bank()
+        before = _draws(bank, 1 if drawn_first else 0)
+        assert before + _draws(transform(bank), 3 - len(before)) == reference
+
+    @pytest.mark.parametrize("drawn_first", [False, True])
+    def test_split_and_merge(self, drawn_first):
+        """Same-seed shards fed halves of the stream and merged draw like
+        the single-pass bank; a drawn bank keeps drawing where it left
+        off after absorbing a shard."""
+        n, m = 16, 16
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, n, size=200)
+        b = rng.integers(0, m, size=200)
+        single = L0EdgeBank(n, m, 30, seed=5)
+        single.process_batch(a, b)
+        reference = _draws(single, 3)
+        fresh = L0EdgeBank(n, m, 30, seed=5)
+        left, right = fresh.split(2)
+        spare = copy.deepcopy(right)
+        left.process_batch(a[:90], b[:90])
+        right.process_batch(a[90:], b[90:])
+        merged = left.merge(right)
+        before = _draws(merged, 1 if drawn_first else 0)
+        merged.merge(spare)  # an empty shard changes nothing
+        assert before + _draws(merged, 3 - len(before)) == reference
+
+    def test_draws_continue_the_eagerly_seeded_sequence(self):
+        """The lazily built RNG yields exactly what a ``random.Random``
+        seeded with the bank's 64-bit draw seed at construction would:
+        each sample_all() continues the sequence, never restarts it."""
+        seed, count, delta = 11, 40, 0.05
+        bank = _fed_fast_bank(seed)
+        support = bank._support.support()
+        draw_rng = random.Random(random.Random(seed).getrandbits(64))
+        expected = [
+            [
+                None if draw_rng.random() < delta else draw_rng.choice(support)
+                for _ in range(count)
+            ]
+            for _ in range(3)
+        ]
+        assert _draws(bank, 3) == expected
+        assert expected[0] != expected[1]
+
+    def test_undrawn_bank_carries_no_rng_state(self):
+        bank = _fed_fast_bank()
+        assert bank._draw_rng is None
+        assert _pickled(bank)._draw_rng is None
+        bank.sample_all()
+        assert bank._draw_rng is not None
