@@ -14,6 +14,11 @@ every entry, so the static and dynamic views cannot drift.  Per entry:
 * mergeable smoke: ``split(1)`` yields exactly one same-type summary
   that still ingests and finalizes (``audit/split-identity``), and a
   ``split(2)`` pair merges (``audit/merge-smoke``);
+* merge reads its argument (``audit/merge-reads-other``): after
+  ``merged = left.merge(right)``, feeding ``right`` another batch must
+  leave ``merged``'s pickle unchanged (no shared mutable state), and
+  ``right.finalize()`` must equal that of a deep copy taken before the
+  merge and fed the same batch (the merge left ``right`` as it was);
 * metadata ↔ capability agreement: the *instance*'s validated
   ``shard_routing`` must match the registry's declared routing, and
   ``mergeable`` must match what
@@ -26,6 +31,7 @@ otherwise at ``<registry>``.
 
 from __future__ import annotations
 
+import copy
 import pickle
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -83,6 +89,37 @@ def _audit_params(entry: Any) -> Tuple[Optional[Dict[str, Any]], List[str]]:
     if missing:
         return None, missing
     return params, []
+
+
+def _merge_reads_other(fresh: Any) -> Optional[str]:
+    """How ``merge`` breaks the read-only contract on its argument, or
+    ``None`` when it keeps it.
+
+    The ``split(2)`` pair of the ``fresh`` processor ingests one batch
+    each, then ``left.merge(right)`` runs.  Window policies
+    merge live bucket summaries that keep ingesting afterwards, so the
+    merged summary must not see ``right``'s later updates, and ``right``
+    must answer as if no merge had happened.
+    """
+    left, right = fresh.split(2)
+    left.process_batch(_BATCH_A, _BATCH_B)
+    right.process_batch(_BATCH_A2, _BATCH_B2)
+    untouched = copy.deepcopy(right)
+    merged = left.merge(right)
+    before = pickle.dumps(merged)
+    right.process_batch(_BATCH_A, _BATCH_B)
+    if pickle.dumps(merged) != before:
+        return (
+            "feeding the merge argument another batch changed the merged "
+            "summary (they share mutable state)"
+        )
+    untouched.process_batch(_BATCH_A, _BATCH_B)
+    if pickle.dumps(right.finalize()) != pickle.dumps(untouched.finalize()):
+        return (
+            "the merge changed its argument: it finalizes differently "
+            "from a copy taken before the merge"
+        )
+    return None
 
 
 def audit_registry(
@@ -143,11 +180,13 @@ def audit_registry(
                 "with sign=None",
             )
             continue
+        picklable = True
         try:
             clone = pickle.loads(pickle.dumps(processor))
             clone.process_batch(_BATCH_A2, _BATCH_B2)
             clone.finalize()
         except Exception as error:  # noqa: BLE001
+            picklable = False
             report(
                 "audit/pickle-roundtrip",
                 f"pickle round-trip failed with "
@@ -219,5 +258,20 @@ def audit_registry(
                     f"{type(error).__name__}: {error}",
                     "same-configuration shards must always merge; this is "
                     "the exact fold ShardedRunner performs",
+                )
+                continue
+            if not picklable:
+                continue  # the check compares pickles; already reported
+            try:
+                problem = _merge_reads_other(entry.build(params))
+            except Exception as error:  # noqa: BLE001
+                problem = f"the check raised {type(error).__name__}: {error}"
+            if problem is not None:
+                report(
+                    "audit/merge-reads-other",
+                    problem,
+                    "merge(other) may write only to its receiver: copy "
+                    "what it takes from other (or keep it immutable) and "
+                    "leave other's observable state unchanged",
                 )
     return findings

@@ -153,6 +153,14 @@ class MisraGries:
             if count + bound >= threshold
         )
 
+    def clone(self) -> "MisraGries":
+        """An independent copy: one counter-dict copy, no deepcopy walk
+        (window policies clone the head of every suffix fold)."""
+        dup = MisraGries(self.k)
+        dup._counters = dict(self._counters)
+        dup._length = self._length
+        return dup
+
     def merge(self, other: "MisraGries") -> "MisraGries":
         """Combine two summaries of disjoint sub-streams (mergeability).
 

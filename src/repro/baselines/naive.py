@@ -174,7 +174,11 @@ class FullStorage:
 
         Under vertex routing every A-vertex's updates live in exactly
         one shard, so the union of the per-shard neighbour sets is the
-        exact final graph (bit-identical to a single pass).
+        exact final graph (bit-identical to a single pass).  ``other``
+        is only read: its backlog is materialised on a copy, because
+        flushing in place would change the order in which ``other``
+        later lists its vertices (and with it :meth:`result`'s
+        tie-break).
         """
         if not isinstance(other, FullStorage):
             raise ValueError(
@@ -186,8 +190,8 @@ class FullStorage:
                 f"({other.n},{other.m})"
             )
         self._flush()
-        other._flush()
-        for vertex, witnesses in other._store.items():
+        theirs = copy.deepcopy(other) if other._pending else other
+        for vertex, witnesses in theirs._neighbours.items():
             self._store.setdefault(vertex, set()).update(witnesses)
         return self
 

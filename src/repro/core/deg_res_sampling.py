@@ -10,6 +10,12 @@ sits in the reservoir, its incident edges are collected until ``d2`` of
 them are stored — so a vertex that stays sampled collects
 ``min(d2, deg - d1 + 1)`` witnesses.
 
+Each witness sequence is an immutable ``tuple``: every write rebinds
+the reservoir entry instead of mutating it, so clones, merge folds and
+answers share sequences instead of copying them.  The price is that a
+per-item append copies the sequence — ``O(len)``, bounded by ``d2`` —
+while the batch path extends each vertex once per chunk.
+
 The run *succeeds* if at least one stored neighbourhood reaches size
 ``d2`` (Lemma 3.1 lower-bounds that probability by
 ``1 - exp(-s * n2 / n1)``).
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import copy
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -129,8 +135,9 @@ class DegResSampling:
         self.s = s
         self._rng = rng
         self._degrees: Optional[DegreeCounter] = DegreeCounter(n) if own_degrees else None
-        #: reservoir contents: vertex -> collected witnesses, in arrival order
-        self._reservoir: Dict[int, List[int]] = {}
+        #: reservoir contents: vertex -> collected witnesses, in arrival
+        #: order (immutable tuples, shared by clones and merges)
+        self._reservoir: Dict[int, Tuple[int, ...]] = {}
         #: resident vertices in arbitrary order, for O(1) random eviction
         #: (mirrors the reservoir keys; not charged separately)
         self._resident: List[int] = []
@@ -142,7 +149,7 @@ class DegResSampling:
     # ------------------------------------------------------------------
 
     def _admit(self, a: int) -> None:
-        self._reservoir[a] = []
+        self._reservoir[a] = ()
         self._resident.append(a)
 
     def _cross(self, a: int) -> tuple:
@@ -180,7 +187,7 @@ class DegResSampling:
             self._cross(a)
         witnesses = self._reservoir.get(a)
         if witnesses is not None and len(witnesses) < self.d2:
-            witnesses.append(b)
+            self._reservoir[a] = witnesses + (b,)
 
     def observe_batch(
         self,
@@ -282,7 +289,7 @@ class DegResSampling:
                     cross_vertices[:take],
                     cross_witnesses[:take],
                 ):
-                    reservoir[vertex] = [witness]
+                    reservoir[vertex] = (witness,)
                     resident.append(vertex)
                     admissions[vertex] = position + 1
                 seen += take
@@ -314,8 +321,8 @@ class DegResSampling:
                         admissions.pop(evicted, None)
                         # Admitted: the crossing item itself is the
                         # vertex's first chance to collect (d2 >= 1,
-                        # fresh list => always appends).
-                        reservoir[vertex] = [witness]
+                        # fresh sequence => always stores).
+                        reservoir[vertex] = (witness,)
                         resident.append(vertex)
                         admissions[vertex] = position + 1
             self._candidates_seen = seen
@@ -351,11 +358,11 @@ class DegResSampling:
         return active, needs, low_keys, high_keys
 
     def _store_witnesses(self, active, counts, collected, cursor: int) -> int:
-        """Append each active vertex's slice of the shared gather."""
+        """Extend each active vertex's sequence by its slice of the gather."""
         reservoir = self._reservoir
         for vertex, count in zip(active, counts):
             if count:
-                reservoir[vertex].extend(collected[cursor : cursor + count])
+                reservoir[vertex] += tuple(collected[cursor : cursor + count])
                 cursor += count
         return cursor
 
@@ -410,10 +417,10 @@ class DegResSampling:
         """An independent duplicate of the run's full state.
 
         Equivalent to ``copy.deepcopy`` — the RNG state is carried over,
-        so clone and original draw identical trajectories — but built
-        with direct container copies instead of the generic graph walk.
-        Window policies clone bucket summaries on every suffix fold and
-        mid-stream probe, so this is query-hot.
+        so clone and original draw identical trajectories — but the
+        witness tuples are immutable, so the reservoir is one shallow
+        dict copy that shares them.  Window policies clone the head of
+        every suffix fold, so this is query-hot.
         """
         dup = object.__new__(DegResSampling)
         dup.n, dup.d1, dup.d2, dup.s = self.n, self.d1, self.d2, self.s
@@ -421,10 +428,7 @@ class DegResSampling:
         rng.setstate(self._rng.getstate())
         dup._rng = rng
         dup._degrees = None if self._degrees is None else self._degrees.clone()
-        dup._reservoir = {
-            vertex: list(witnesses)
-            for vertex, witnesses in self._reservoir.items()
-        }
+        dup._reservoir = dict(self._reservoir)
         dup._resident = list(self._resident)
         dup._candidates_seen = self._candidates_seen
         return dup
@@ -434,9 +438,12 @@ class DegResSampling:
 
         Candidate counts add; the merged reservoir is the union of both
         shard reservoirs (vertex routing makes the keys disjoint — each
-        vertex crossed ``d1`` in exactly one shard).  Witness lists of a
+        vertex crossed ``d1`` in exactly one shard).  Witness sequences of a
         vertex somehow present in both are deduplicated at merge time
-        and clipped to ``d2``.  The union holds up to ``n_shards * s``
+        and clipped to ``d2``.  ``other`` is only read: a vertex new to
+        this side adopts ``other``'s (immutable) tuple, and a shared
+        vertex's entry is rebound, never extended in place.  The union
+        holds up to ``n_shards * s``
         vertices — the classical mergeable-summaries space tradeoff —
         and each shard's sample is a faithful Algorithm 1 run over its
         sub-stream, so Lemma 3.1's success bound applies per shard.
@@ -464,17 +471,18 @@ class DegResSampling:
         if self._degrees is not None and other._degrees is not None:
             self._degrees.merge(other._degrees)
         self._candidates_seen += other._candidates_seen
+        reservoir, d2 = self._reservoir, self.d2
         for vertex, witnesses in other._reservoir.items():
-            stored = self._reservoir.get(vertex)
+            stored = reservoir.get(vertex)
             if stored is None:
-                self._reservoir[vertex] = list(witnesses)
+                reservoir[vertex] = witnesses
                 self._resident.append(vertex)
-            else:
+            elif witnesses and len(stored) < d2:
                 seen = set(stored)
-                stored.extend(
+                fresh = tuple(
                     witness for witness in witnesses if witness not in seen
                 )
-                del stored[self.d2:]
+                reservoir[vertex] = (stored + fresh)[:d2]
         return self
 
     def split(self, n_shards: int) -> List["DegResSampling"]:

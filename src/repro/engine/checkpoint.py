@@ -37,8 +37,9 @@ from typing import Any, Dict, List, Optional, Union
 
 #: Bumped whenever the manifest/payload layout changes incompatibly
 #: (2: fast-mode sampler banks pickle their support as two arrays and a
-#: draw seed, not a dict and an RNG).
-CHECKPOINT_FORMAT_VERSION = 2
+#: draw seed, not a dict and an RNG; 3: Algorithm 1 reservoirs pickle
+#: witness sequences as tuples, not lists).
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Default number of source chunks between snapshots.
 DEFAULT_CHECKPOINT_EVERY = 64

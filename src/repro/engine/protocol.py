@@ -39,8 +39,13 @@ al.):
   a summary of the concatenation.  Implementations raise an actionable
   :class:`ValueError` when the operands are incompatible (different
   parameters, different hash seeds, ...).  The returned summary is the
-  combined one; callers must treat both operands as consumed (an
-  implementation may reuse either operand's storage).
+  combined one; the receiver is consumed (an implementation may reuse
+  its storage), but ``other`` is only *read*: its observable state is
+  unchanged and the result shares no mutable object with it, so
+  ``other`` may keep ingesting afterwards (window policies merge live
+  bucket summaries this way).  Flushing ``other``'s deferred buffers
+  is allowed when that cannot change anything it later reports.
+  ``repro analyze`` checks this (``audit/merge-reads-other``).
 * ``shard_routing`` — metadata telling a
   :class:`~repro.engine.sharded.ShardedRunner` how stream updates must
   be partitioned for the per-shard runs to stay faithful:
@@ -109,7 +114,11 @@ class MergeableStreamProcessor(StreamProcessor, Protocol):
         ...
 
     def merge(self, other: Any) -> Any:
-        """Combine two summaries of disjoint sub-streams."""
+        """Combine two summaries of disjoint sub-streams.
+
+        Consumes ``self``; reads ``other`` without changing its
+        observable state or sharing mutable objects with it.
+        """
         ...
 
 

@@ -74,13 +74,15 @@ def derive_bucket_seed(master_seed: int, bucket_index: int) -> int:
 
 
 def clone_summary(instance: Any) -> Any:
-    """Duplicate a processor/summary for a merge fold or a probe.
+    """Duplicate a processor/summary that a caller is about to mutate.
 
     Prefers the structure-provided ``clone()`` fast path — a
     bit-identical state duplication without the generic deepcopy graph
     walk — and falls back to ``copy.deepcopy`` for structures that do
-    not provide one.  Window policies clone bucket summaries on every
-    suffix fold and mid-stream probe, so this is on the query hot path.
+    not provide one.  Window policies clone only what they write to:
+    the head of each suffix fold (merge reads its argument, see
+    :class:`~repro.engine.protocol.MergeableStreamProcessor`), and a
+    summary they hand out or finalize.
     """
     clone = getattr(instance, "clone", None)
     if callable(clone):
@@ -93,9 +95,11 @@ class SuffixCacheList(list):
 
     ``suffix`` maps a start index to the left-fold merge of the buckets
     from that index to the end of the list (``(((b_i ∘ b_{i+1}) ∘ …) ∘
-    b_last``).  The cache is pure derived data: it is dropped on pickle
-    and deepcopy (``__reduce__``), and the owning policy clears it
-    whenever the underlying bucket list changes (close/merge).
+    b_last``).  A cached fold is never handed out: each use clones it,
+    since the caller merges the in-progress bucket into its copy.  The
+    cache is pure derived data: it is dropped on pickle and deepcopy
+    (``__reduce__``), and the owning policy clears it whenever the
+    underlying bucket list changes (close/merge).
     """
 
     __slots__ = ("suffix",)
@@ -234,13 +238,16 @@ class WindowPolicy:
     ) -> Any:
         """The policy's answer *mid-stream*, without closing anything.
 
-        ``partial`` is the in-progress bucket (a deep copy of the live
-        instance; ``None`` when it is empty).  The base behaviour —
-        kept by tumbling, matching the pre-refactor "query the last
-        completed window" semantics — ignores it; policies whose
-        retention merges summaries (sliding, decay) override to
-        include the partial bucket so the answer covers the stream up
-        to the current update.  Must not mutate ``state``.
+        ``partial`` is the in-progress bucket holding the *live*
+        instance (``None`` when it is empty): a policy may read it or
+        pass it as a merge argument, but must clone it before anything
+        that writes to it — finalizing it, or returning it as (part of)
+        the answer.  The base behaviour — kept by tumbling, matching
+        the pre-refactor "query the last completed window" semantics —
+        ignores it; policies whose retention merges summaries (sliding,
+        decay) override to include the partial bucket so the answer
+        covers the stream up to the current update.  Must not mutate
+        ``state``.
         """
         return self.result(state, make_record)
 
@@ -345,26 +352,24 @@ class SlidingPolicy(WindowPolicy):
     def _suffix_fold(self, state, start: int) -> Any:
         """A caller-owned left-fold merge of ``state[start:]``.
 
-        Buckets stay live for repeat queries: merge consumes its
-        operands, so the fold runs over clones.  When the state carries
-        a suffix cache (see :class:`SuffixCacheList`) the fold is built
-        once per (start, bucket-list) pair and re-cloned on later
-        probes, making repeated queries O(1) merges instead of
-        O(retained) — the cache only empties when a bucket closes.
+        Buckets stay live for repeat queries.  Merge writes only to its
+        receiver, so the fold clones its head bucket and merges the
+        others in as they are.  When the state carries a suffix cache
+        (see :class:`SuffixCacheList`) the fold is built once per
+        (start, bucket-list) pair and each use gets a clone of it,
+        making repeated queries O(1) merges instead of O(retained) —
+        the cache only empties when a bucket closes.
         """
         if start >= len(state):
             return None
         cache = getattr(state, "suffix", None)
-        if cache is None:
-            merged = clone_summary(state[start].instance)
-            for bucket in state[start + 1 :]:
-                merged = merged.merge(clone_summary(bucket.instance))
-            return merged
-        fold = cache.get(start)
+        fold = None if cache is None else cache.get(start)
         if fold is None:
             fold = clone_summary(state[start].instance)
             for bucket in state[start + 1 :]:
-                fold = fold.merge(clone_summary(bucket.instance))
+                fold = fold.merge(bucket.instance)
+            if cache is None:
+                return fold
             cache[start] = fold
         return clone_summary(fold)
 
@@ -389,7 +394,7 @@ class SlidingPolicy(WindowPolicy):
         if merged is None:
             merged = clone_summary(partial.instance)
         elif partial is not None:
-            merged = merged.merge(clone_summary(partial.instance))
+            merged = merged.merge(partial.instance)
         return SlidingWindowAnswer(
             window=self.window,
             bucket=self.bucket,
@@ -497,8 +502,11 @@ class DecayPolicy(WindowPolicy):
         return self.result(state, make_record)
 
     def result(self, state, make_record) -> DecayAnswer:
-        # Closed buckets receive no further updates, so their records
-        # are memoized per (index, end) — a probe only re-finalizes the
+        # Finalizing may write to a summary (Algorithm 3 draws from its
+        # samplers' RNG), and buckets, the tail and a probe's partial
+        # are all live, so each value comes from a clone.  Closed
+        # buckets receive no further updates, so their records are
+        # memoized per (index, end) — a probe only re-finalizes the
         # in-progress bucket and whatever closed since the last probe.
         # The tail value is keyed by its covered span, which only moves
         # when a bucket folds.  (``query`` hands in a shallow dict copy
@@ -514,7 +522,7 @@ class DecayPolicy(WindowPolicy):
             if record is None:
                 record = make_record(
                     bucket.index, bucket.start, bucket.end,
-                    bucket.instance.finalize(),
+                    clone_summary(bucket.instance).finalize(),
                 )
                 if cache is not None:
                     cache[key] = record
@@ -527,7 +535,7 @@ class DecayPolicy(WindowPolicy):
             if memo is not None and memo[0] == span:
                 tail_value = memo[1]
             else:
-                tail_value = tail.finalize()
+                tail_value = clone_summary(tail).finalize()
                 state["_tail_record"] = (span, tail_value)
         return DecayAnswer(
             recent=recent,
@@ -744,21 +752,18 @@ class WindowedProcessor:
         the wrapper keeps streaming afterwards, so callers can probe as
         often as they like (monitoring dashboards, the Pipeline's
         ``probe_every`` hook).  The in-progress bucket is handed to the
-        policy as an independent copy (the structure-provided ``clone()``
-        fast path when available, else a deep copy) — for the
-        smooth-histogram sliding policy that makes this exact
+        policy live, uncopied: policies only merge it into a fold or
+        clone it before writing (see :meth:`WindowPolicy.query`) — for
+        the smooth-histogram sliding policy that makes this exact
         query-at-any-point: the answer covers the trailing span ending
         at the update fed last.  Tumbling keeps its historical
-        semantics (completed windows only).
+        semantics (completed windows only) and copies nothing.
         """
         partial = None
         if self._updates > 0:
             start = self._bucket_index * self.policy.bucket
             partial = Bucket(
-                self._bucket_index,
-                start,
-                start + self._updates,
-                clone_summary(self._current),
+                self._bucket_index, start, start + self._updates, self._current
             )
         return self.policy.query(self._state, partial, self._make_record)
 
@@ -787,8 +792,12 @@ class WindowedProcessor:
         shard, so tumbling/sliding retention is bit-identical to a
         single-core run over the concatenated stream (decay tail
         folding is bit-identical for commutative inner merges).
+        ``other`` is only read: its buckets are taken from a deep copy,
+        since closing its in-progress bucket or folding its buckets
+        into this side's tail would write to them.
         """
         self._check_merge_compatible(other)
+        other = copy.deepcopy(other)
         if self._updates > 0:
             self._close_bucket()
         if other._updates > 0:

@@ -88,3 +88,31 @@ class BrokenSplit(GoodSummary):
 
     def split(self, n_shards: int) -> List["GoodSummary"]:
         return [GoodSummary(self.k) for _ in range(n_shards + 1)]
+
+
+class AliasingMerge(GoodSummary):
+    """merge adopts the argument's list instead of copying it, so the
+    merged summary keeps seeing the argument's later updates."""
+
+    def __init__(self, k: int = 4) -> None:
+        super().__init__(k)
+        self.seen: List[int] = []
+
+    def process_batch(self, a, b, sign=None) -> None:
+        self.seen.extend(a.tolist())
+        super().process_batch(a, b, sign)
+
+    def merge(self, other: "GoodSummary") -> "GoodSummary":
+        other.seen[:0] = self.seen
+        self.seen = other.seen
+        self.total += other.total
+        return self
+
+
+class DrainingMerge(GoodSummary):
+    """merge shares nothing but empties its argument."""
+
+    def merge(self, other: "GoodSummary") -> "GoodSummary":
+        self.total += other.total
+        other.total = 0
+        return self

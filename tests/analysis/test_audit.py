@@ -34,6 +34,8 @@ def audited(import_fixture):
     add("broken-split", module.BrokenSplit, mergeable=True, routing="any")
     add("secretly", module.SecretlyMergeable, mergeable=False)
     add("not-actually", module.NotActuallyMergeable, mergeable=True, params=())
+    add("aliasing", module.AliasingMerge, mergeable=True, routing="any")
+    add("draining", module.DrainingMerge, mergeable=True, routing="any")
     add(
         "unbuildable",
         module.GoodSummary,
@@ -63,6 +65,16 @@ class TestBrokenRegistry:
         assert _rules_for(audited, "not-actually") == [
             "audit/metadata-capability"
         ]
+
+    def test_aliasing_merge_trips_merge_reads_other(self, audited):
+        assert _rules_for(audited, "aliasing") == ["audit/merge-reads-other"]
+        (finding,) = [f for f in audited if "'aliasing'" in f.problem]
+        assert "share mutable state" in finding.problem
+
+    def test_merge_that_changes_its_argument_trips_the_rule(self, audited):
+        assert _rules_for(audited, "draining") == ["audit/merge-reads-other"]
+        (finding,) = [f for f in audited if "'draining'" in f.problem]
+        assert "changed its argument" in finding.problem
 
     def test_unbuildable_entry_reported_not_crashed(self, audited):
         assert _rules_for(audited, "unbuildable") == ["audit/unbuildable"]

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.insertion_deletion import InsertionDeletionFEwW
+from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.engine.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
@@ -160,6 +162,36 @@ class TestDamageRejection:
         with pytest.raises(CheckpointError, match="format version 1"):
             store.load("run")
         with pytest.raises(CheckpointError, match="format version 1"):
+            store.try_load("run")
+        assert _UNPICKLED == []
+
+    def test_version_two_manifest_rejected_before_unpickling(self, tmp_path):
+        """Version-2 Algorithm 2 payloads pickle witness lists, which the
+        tuple-based merge cannot extend; a version-2 manifest is refused
+        before its payload is read."""
+        _UNPICKLED.clear()
+        store = CheckpointStore(tmp_path)
+        algorithm = InsertionOnlyFEwW(16, 4, 2, seed=0)
+        algorithm.process_batch(
+            np.array([1, 1, 1, 1, 2], dtype=np.int64),
+            np.arange(5, dtype=np.int64),
+        )
+        store.save("run", {"alg2": algorithm, "probe": _Tripwire()},
+                   chunk_index=1, position=5)
+        loaded = store.load("run").state["alg2"]
+        assert all(
+            type(witnesses) is tuple
+            for run in loaded.runs
+            for witnesses in run._reservoir.values()
+        )
+        _UNPICKLED.clear()
+        manifest = tmp_path / "run.manifest.json"
+        data = json.loads(manifest.read_text())
+        data["format_version"] = 2
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match="format version 2"):
+            store.load("run")
+        with pytest.raises(CheckpointError, match="format version 2"):
             store.try_load("run")
         assert _UNPICKLED == []
 
