@@ -9,8 +9,8 @@ equivalence suites.  This package machine-checks them at lint time so
 a refactor cannot silently violate what those suites assume:
 
 * :mod:`repro.analysis.determinism` — no ambient entropy;
-* :mod:`repro.analysis.forksafe` — fork/pickle-safe summaries, shm
-  creation confined to ``engine/shm.py``;
+* :mod:`repro.analysis.forksafe` — fork/pickle-safe summaries, no
+  shared-memory segments anywhere in the package;
 * :mod:`repro.analysis.hotpath` — no per-item loops in batch paths;
 * :mod:`repro.analysis.protocol` — registry metadata agrees with the
   classes it describes;

@@ -32,14 +32,16 @@ share one partition).
 
 Two execution backends:
 
-* ``"process"`` (default) — a ``fork``-based worker pool.  For
-  *file sources* every worker opens the persisted stream itself
-  (optionally memory-mapped) and filters its own sub-stream, so no
-  update data ever crosses a pipe — the out-of-core path: a
-  multi-gigabyte v2 file streams through ``n_workers`` cores without
-  being materialised anywhere.  For in-memory sources the parent
-  routes chunks to bounded per-worker queues (backpressure included).
-  On platforms without ``fork`` the runner falls back to the serial
+* ``"process"`` (default) — a ``fork``-based worker pool, one worker
+  per shard, and no update data ever crosses a pipe.  For *file
+  sources* every worker opens the persisted stream itself (optionally
+  memory-mapped) and filters its own sub-stream — the out-of-core
+  path: a multi-gigabyte v2 file streams through ``n_workers`` cores
+  without being materialised anywhere.  An in-memory source is cut
+  into chunks once in the parent before the fork; every worker
+  inherits that chunk list (copy-on-write, the column buffers are only
+  read) and filters it exactly as it would filter the file.  On
+  platforms without ``fork`` the runner falls back to the serial
   backend (same answers, no parallelism).
 * ``"serial"`` — the identical split/route/merge pipeline executed in
   process, one shard at a time.  Useful for tests, debugging, and
@@ -49,20 +51,22 @@ With ``n_workers=1`` the runner degenerates to a plain
 :class:`~repro.engine.runner.FanoutRunner` pass (no split, no merge) —
 the single-core reference path the equivalence suite compares against.
 
-**Fault tolerance.**  File-source shard workers are side-effect-free
-(each re-reads its own sub-stream from the persisted file), so a dead
-worker is recoverable: with ``on_failure="retry"`` the parent respawns
-just the failed shard with bounded retries and exponential backoff
-(``retries``, :data:`ShardedRunner.RETRY_BACKOFF_S`), optionally under
-a per-shard wall-clock ``timeout_s``; ``on_failure="serial_fallback"``
+**Fault tolerance.**  Shard workers are side-effect-free (each
+re-reads its own sub-stream from the persisted file or the inherited
+chunk list), so a dead worker is recoverable: with
+``on_failure="retry"`` the parent respawns just the failed shard with
+bounded retries and exponential backoff (``retries``,
+:data:`ShardedRunner.RETRY_BACKOFF_S`), optionally under a per-shard
+wall-clock ``timeout_s``; ``on_failure="serial_fallback"``
 additionally re-runs a shard whose worker keeps dying in-process; the
 default ``on_failure="raise"`` keeps the historical fail-fast
 behaviour.  Python-level worker exceptions travel back with their full
 formatted traceback in :class:`ShardedWorkerError` and are never
 retried (a deterministic error would fail every attempt) — except
-``OSError``, the transient-I/O case retry exists for.  Progress can be
-made durable with ``checkpoint_dir=``/``checkpoint_every=``: each
-worker snapshots its shard summaries + stream offset through
+``OSError``, the transient-I/O case retry exists for.  Progress over a
+stream file can be made durable with
+``checkpoint_dir=``/``checkpoint_every=``: each worker snapshots its
+shard summaries + stream offset through
 :class:`~repro.engine.checkpoint.CheckpointStore`, and
 :meth:`ShardedRunner.resume` rebuilds the whole run (pristine shard
 splits included, so resumed answers stay bit-identical) and continues
@@ -74,7 +78,6 @@ are exercised deterministically via
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import secrets
 import time
 import traceback
@@ -99,22 +102,12 @@ from repro.engine.protocol import (
     shard_routing_of,
 )
 from repro.engine.runner import FanoutRunner, as_chunks
-from repro.engine.shm import (
-    ChunkAttacher,
-    ChunkPublisher,
-    ShmChunk,
-    shm_available,
-)
 from repro.streams.columnar import DEFAULT_CHUNK_SIZE, Columns
 
 #: Fibonacci multiplier (golden-ratio reciprocal in 64 bits) for the
 #: vertex-hash shard route.
 _FIB = np.uint64(0x9E3779B97F4A7C15)
 _SHIFT = np.uint64(33)
-
-#: Bounded per-worker chunk queue length (backpressure for in-memory
-#: sources much larger than what the workers can absorb).
-_QUEUE_DEPTH = 8
 
 BACKENDS = ("process", "serial")
 
@@ -219,8 +212,8 @@ def _shard_ids(
 ):
     """Shard assignment for one chunk: a per-update id array for masked
     routings, or the single owning worker (int) for whole-chunk
-    round-robin.  The one copy of the routing arithmetic — file-pool
-    and queue-pool workers must stay bit-identical.
+    round-robin.  The one copy of the routing arithmetic — every
+    worker and the serial backend must route bit-identically.
     """
     if routing == SHARD_ANY:
         return chunk_index % n_workers
@@ -273,9 +266,8 @@ def route_chunk_all(
     """Every worker's sub-chunk in one pass.
 
     Computes the shard-id array once per chunk instead of once per
-    worker — the parent process is the routing bottleneck for
-    queue-fed runs, so the hash/division work must not scale with the
-    worker count.
+    worker, so a caller that splits one chunk for every shard (the
+    per-layer benchmark replay) pays the hash/division work once.
     """
     ids = _shard_ids(chunk, routing, n_workers, chunk_index, position)
     if isinstance(ids, int):
@@ -305,6 +297,7 @@ def _drive(
 ) -> Dict[str, Any]:
     """Run one shard's FanoutRunner over its routed sub-stream.
 
+    ``source`` is a stream-file path or the parent's list of chunks.
     ``start_chunk``/``start_position`` resume the pass at a checkpoint
     boundary (file sources only); ``fault_plan`` is consulted before
     every chunk; ``checkpoint`` — a ``(directory, every, tag, meta)``
@@ -356,7 +349,7 @@ def _drive(
 
 
 def _file_worker(conn, task) -> None:
-    """Process body for file sources: self-read, filter, report.
+    """Process body of the attempt pool: read, filter, report.
 
     The outcome ``(worker, attempt, processors, error)`` travels over a
     dedicated one-shot pipe owned by this attempt alone; a superseded
@@ -364,12 +357,12 @@ def _file_worker(conn, task) -> None:
     without reporting (SIGKILL, dropped result) surfaces to the parent
     as EOF rather than as silence on a shared queue.
     """
-    (worker, attempt, n_workers, shard, path, routing, chunk_size, mmap,
+    (worker, attempt, n_workers, shard, source, routing, chunk_size, mmap,
      readahead, readahead_depth, start_chunk, start_position, fault_plan,
      checkpoint) = task
     try:
         processors = _drive(
-            shard, path, routing, worker, n_workers, chunk_size, mmap,
+            shard, source, routing, worker, n_workers, chunk_size, mmap,
             readahead, readahead_depth,
             start_chunk=start_chunk, start_position=start_position,
             fault_plan=fault_plan, attempt=attempt, checkpoint=checkpoint,
@@ -388,7 +381,7 @@ def _file_worker(conn, task) -> None:
 
 
 def _tree_file_worker(conn, task, recv_edges, send_edge, strays) -> None:
-    """Process body for the plain-path file pool with worker-side merge.
+    """Process body of the plain-path pool with worker-side merge.
 
     After driving its own shard the worker joins the binomial reduction
     tree (:func:`~repro.engine.merge.tree_rounds`): it first absorbs its
@@ -409,11 +402,11 @@ def _tree_file_worker(conn, task, recv_edges, send_edge, strays) -> None:
     """
     for stray in strays:
         stray.close()
-    (worker, n_workers, shard, path, routing, chunk_size, mmap,
+    (worker, n_workers, shard, source, routing, chunk_size, mmap,
      readahead, readahead_depth) = task
     try:
         processors = _drive(
-            shard, path, routing, worker, n_workers, chunk_size, mmap,
+            shard, source, routing, worker, n_workers, chunk_size, mmap,
             readahead, readahead_depth,
         )
         for edge in recv_edges:
@@ -431,59 +424,6 @@ def _tree_file_worker(conn, task, recv_edges, send_edge, strays) -> None:
         outcome = (worker, None, _describe_error(exc))
     conn.send(outcome)
     conn.close()
-
-
-def _queue_worker(
-    worker, shard, chunk_size, in_queue, out_queue, fault_plan=None,
-    release_queue=None,
-) -> None:
-    """Process body for in-memory sources: consume routed chunks.
-
-    Chunks arrive either as raw ``(a, b, sign)`` column tuples or — when
-    the shared-memory transport is engaged — as :class:`ShmChunk`
-    descriptors, which are resolved to zero-copy views and released back
-    to the parent's segment pool after processing.
-    """
-    outcome = None
-    attachments = ChunkAttacher()
-    try:
-        runner = FanoutRunner(shard, chunk_size=chunk_size)
-        consumed = 0
-        while True:
-            chunk = in_queue.get()
-            if chunk is None:
-                break
-            if fault_plan is not None:
-                fault_plan.fire(worker, consumed, 0)
-            consumed += 1
-            if isinstance(chunk, ShmChunk):
-                a, b, sign = attachments.view(chunk)
-                runner.process_chunk(a, b, sign)
-                del a, b, sign
-                release_queue.put(chunk.segment)
-            else:
-                runner.process_chunk(*chunk)
-        outcome = (worker, dict(runner._processors), None)
-    except BaseException as exc:
-        error = _describe_error(exc)
-        # Keep draining until the sentinel so the parent's bounded-queue
-        # puts never block on a worker that has stopped consuming; shm
-        # descriptors are released unprocessed so the pool keeps cycling.
-        while True:
-            chunk = in_queue.get()
-            if chunk is None:
-                break
-            if isinstance(chunk, ShmChunk) and release_queue is not None:
-                release_queue.put(chunk.segment)
-        outcome = (worker, None, error)
-    attachments.close()
-    if fault_plan is not None:
-        if fault_plan.drops_result(worker, 0):
-            return
-        if fault_plan.corrupts_result(worker, 0):
-            out_queue.put("injected-garbage-result")
-            return
-    out_queue.put(outcome)
 
 
 class ShardedRunner:
@@ -507,9 +447,9 @@ class ShardedRunner:
         readahead_depth: chunks each worker's prefetcher keeps in
             flight (default 1, the classic double buffer).
         backend: ``"process"`` (fork pool; default) or ``"serial"``.
-        retries: times a dead/timed-out file-source shard worker is
-            respawned before the ``on_failure`` policy decides (the
-            workers are side-effect-free, so a re-run is safe).
+        retries: times a dead/timed-out shard worker is respawned
+            before the ``on_failure`` policy decides (the workers are
+            side-effect-free, so a re-run is safe).
         timeout_s: per-shard wall-clock budget; a worker exceeding it
             is terminated and handled like a dead worker (``None``
             disables the deadline).
@@ -517,9 +457,9 @@ class ShardedRunner:
             behaviour), ``"retry"`` (exhaust ``retries`` then raise),
             or ``"serial_fallback"`` (exhaust ``retries`` then re-run
             the shard in-process).
-        checkpoint_dir: when set, every file-source shard worker
-            snapshots its summaries + stream offset into this
-            directory; see :meth:`resume`.
+        checkpoint_dir: when set, every shard worker snapshots its
+            summaries + stream offset into this directory (file
+            sources only); see :meth:`resume`.
         checkpoint_every: source chunks between shard snapshots
             (default
             :data:`~repro.engine.checkpoint.DEFAULT_CHECKPOINT_EVERY`;
@@ -527,24 +467,12 @@ class ShardedRunner:
         fault_plan: optional :class:`~repro.engine.faults.FaultPlan`
             threaded into every worker for deterministic chaos tests;
             omit for the no-op default.
-        shm_transport: in-memory queue-pool chunk handoff.  ``None``
-            (default) publishes chunk columns through
-            ``multiprocessing.shared_memory`` segments whenever the
-            platform supports them — the queues then carry only tiny
-            descriptors (see :mod:`repro.engine.shm`); ``False``
-            forces the classic pickled-columns transport; ``True``
-            requires shared memory and fails loudly without it.
 
     Overridable timing knobs (class attributes, seconds; override on an
     instance to tune a specific run or speed up tests):
 
-    * ``QUEUE_PUT_TIMEOUT_S`` — bounded-queue put poll interval;
-    * ``QUEUE_PUT_DEADLINE_S`` — give up routing to a worker that is
-      alive but has not consumed anything for this long;
     * ``RESULT_POLL_TIMEOUT_S`` — result wait slice between per-shard
       deadline scans;
-    * ``RESULT_GRACE_TIMEOUT_S`` — extra wait for an in-flight result
-      after its sender died (in-memory queue pool);
     * ``WORKER_JOIN_TIMEOUT_S`` — orderly worker join deadline;
     * ``TERMINATE_JOIN_TIMEOUT_S`` — join deadline after terminate;
     * ``RETRY_BACKOFF_S`` — base of the exponential retry backoff
@@ -557,10 +485,7 @@ class ShardedRunner:
         merged = runner["alg2"]                # the merged processor
     """
 
-    QUEUE_PUT_TIMEOUT_S = 1.0
-    QUEUE_PUT_DEADLINE_S = 120.0
     RESULT_POLL_TIMEOUT_S = 0.25
-    RESULT_GRACE_TIMEOUT_S = 2.0
     WORKER_JOIN_TIMEOUT_S = 30.0
     TERMINATE_JOIN_TIMEOUT_S = 5.0
     RETRY_BACKOFF_S = 0.05
@@ -581,7 +506,6 @@ class ShardedRunner:
         checkpoint_dir: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        shm_transport: Optional[bool] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -625,10 +549,6 @@ class ShardedRunner:
         )
         self.checkpoint_every = checkpoint_every
         self.fault_plan = fault_plan
-        #: Shared-memory columnar transport for in-memory queue-pool
-        #: runs: ``True`` forces it, ``False`` disables it, ``None``
-        #: (default) auto-enables when POSIX shared memory works here.
-        self.shm_transport = shm_transport
         #: Shard re-runs performed (for run reports / diagnostics).
         self.retries_used = 0
         #: Shards that ended up on the in-process fallback path.
@@ -882,6 +802,10 @@ class ShardedRunner:
             shards = [dict(self._processors)]
         else:
             shards = self._split_shards()
+        if not isinstance(source, (str, Path)):
+            # Chunked once, here: forked workers inherit the list, and
+            # a retried or serial shard replays it from the start.
+            source = list(as_chunks(source, chunk_size))
         if store is not None and not self._resuming:
             self._save_run_checkpoint(store, shards, source, chunk_size)
         if self.backend == "serial":
@@ -895,8 +819,8 @@ class ShardedRunner:
     ) -> Dict[str, Any]:
         """Combine shard summaries along the reduction tree, finalize.
 
-        Every combine path — serial backend, queue pool, file pool,
-        and the distributed worker-side tree — uses the same
+        Every combine path — serial backend, attempt pool, and the
+        distributed worker-side tree — uses the same
         shard-index merge order (see :mod:`repro.engine.merge`), so
         answers never depend on which backend ran the pass.
         """
@@ -928,43 +852,28 @@ class ShardedRunner:
     ) -> List[Dict[str, Any]]:
         """The split/route/merge pipeline on one core (shard at a time).
 
-        In-memory sources may be consumed only once (chunk iterables),
-        so chunks are materialised and replayed per shard; file sources
-        are re-read per shard, exactly like the process backend.
+        Every shard re-reads ``source`` — the stream file or the
+        parent's chunk list — exactly like a process-backend worker.
         """
-        if isinstance(source, (str, Path)):
-            store = self._checkpoint_store()
-            mmap = self._worker_mmap(source)
-            readahead = self._effective_readahead(mmap)
-            completed = []
-            for worker, shard in enumerate(shards):
-                state, start_chunk, start_position, done = self._shard_start(
-                    store, worker, shard
-                )
-                if done:
-                    completed.append(state)
-                    continue
-                completed.append(
-                    _drive(
-                        state, source, routing, worker, self.n_workers,
-                        chunk_size, mmap, readahead, self.readahead_depth,
-                        start_chunk=start_chunk,
-                        start_position=start_position,
-                        fault_plan=self.fault_plan,
-                        checkpoint=self._shard_checkpoint(worker),
-                        in_process=True,
-                    )
-                )
-            return completed
-        chunks = list(as_chunks(source, chunk_size))
-        return [
-            _drive(
-                shard, iter(chunks), routing, worker, self.n_workers,
-                chunk_size, False,
-                fault_plan=self.fault_plan, in_process=True,
+        store = self._checkpoint_store()
+        mmap = self._worker_mmap(source)
+        readahead = self._effective_readahead(mmap)
+        completed = []
+        for worker, shard in enumerate(shards):
+            state, start_chunk, start_position, done = self._shard_start(
+                store, worker, shard
             )
-            for worker, shard in enumerate(shards)
-        ]
+            if not done:
+                state = _drive(
+                    state, source, routing, worker, self.n_workers,
+                    chunk_size, mmap, readahead, self.readahead_depth,
+                    start_chunk=start_chunk, start_position=start_position,
+                    fault_plan=self.fault_plan,
+                    checkpoint=self._shard_checkpoint(worker),
+                    in_process=True,
+                )
+            completed.append(state)
+        return completed
 
     def _worker_mmap(self, source) -> bool:
         """Whether shard workers should memory-map ``source``.
@@ -973,8 +882,11 @@ class ShardedRunner:
         stored v2 archive beats every worker eagerly loading its own
         full copy of the columns — the workers then share one page
         cache.  Compressed archives fall back to eager loading inside
-        the reader; v1 text is parsed incrementally either way.
+        the reader; v1 text is parsed incrementally either way.  An
+        in-memory chunk list is never mapped.
         """
+        if not isinstance(source, (str, Path)):
+            return False
         if self.mmap:
             return True
         from repro.streams.persist import detect_version
@@ -1007,14 +919,15 @@ class ShardedRunner:
         if context is None:
             # No fork on this platform: identical answers, one core.
             return self._run_serial(shards, source, routing, chunk_size)
-        if isinstance(source, (str, Path)):
-            return self._run_file_pool(context, shards, source, routing, chunk_size)
-        return self._run_queue_pool(context, shards, source, routing, chunk_size)
+        return self._run_file_pool(context, shards, source, routing, chunk_size)
 
     def _run_file_pool(
         self, context, shards, source, routing, chunk_size
     ) -> List[Dict[str, Any]]:
-        """Workers read the stream file themselves — zero data IPC.
+        """Workers read the stream themselves — zero data IPC.
+
+        Each worker opens the stream file, or walks the chunk list it
+        inherited through ``fork``, and keeps only its own shard.
 
         One explicitly managed process per shard (rather than a
         ``Pool``), each reporting over a dedicated one-shot pipe
@@ -1071,7 +984,7 @@ class ShardedRunner:
             state, start_chunk, start_position = starts[worker]
             task = (
                 worker, attempts[worker], self.n_workers, state,
-                str(source), routing, chunk_size, mmap, readahead,
+                source, routing, chunk_size, mmap, readahead,
                 self.readahead_depth, start_chunk, start_position,
                 self.fault_plan, self._shard_checkpoint(worker),
             )
@@ -1227,7 +1140,7 @@ class ShardedRunner:
     def _run_file_tree(
         self, context, shards, source, routing, chunk_size
     ) -> List[Dict[str, Any]]:
-        """Plain-path file pool: workers merge pairwise before reporting.
+        """Plain-path pool: workers merge pairwise before reporting.
 
         Replaces the serial parent-side fold over ``n_workers`` full
         summary maps with the distributed reduction tree of
@@ -1278,7 +1191,7 @@ class ShardedRunner:
         try:
             for worker, shard in enumerate(shards):
                 task = (
-                    worker, n_workers, shard, str(source), routing,
+                    worker, n_workers, shard, source, routing,
                     chunk_size, mmap, readahead, self.readahead_depth,
                 )
                 mine = set(map(id, owned[worker]))
@@ -1386,166 +1299,6 @@ class ShardedRunner:
                 return errors[worker]
         return errors[min(errors)]
 
-    def _run_queue_pool(
-        self, context, shards, source, routing, chunk_size
-    ) -> List[Dict[str, Any]]:
-        """Parent routes chunks to bounded per-worker queues.
-
-        In-memory sources are consumed exactly once, so a dead queue
-        worker is not retryable — failures raise regardless of the
-        ``on_failure`` policy (persist the stream to a file to get
-        retry semantics).
-
-        When the shared-memory transport is engaged (see
-        ``shm_transport``), the queues carry only :class:`ShmChunk`
-        descriptors; the column bytes travel through a recycled pool of
-        shared segments that the ``finally`` below unlinks on every
-        exit — including failure paths where a worker died without
-        releasing its segments.
-        """
-        use_shm = self.shm_transport
-        if use_shm is None:
-            use_shm = shm_available()
-        publisher = ChunkPublisher() if use_shm else None
-        release_queue = context.Queue() if use_shm else None
-        in_queues = [
-            context.Queue(maxsize=_QUEUE_DEPTH) for _ in range(self.n_workers)
-        ]
-        out_queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_queue_worker,
-                args=(worker, shards[worker], chunk_size, in_queues[worker],
-                      out_queue, self.fault_plan, release_queue),
-                daemon=True,
-            )
-            for worker in range(self.n_workers)
-        ]
-        for process in workers:
-            process.start()
-        clean = False
-        try:
-            position = 0
-            for chunk_index, chunk in enumerate(as_chunks(source, chunk_size)):
-                routed_all = route_chunk_all(
-                    chunk, routing, self.n_workers, chunk_index, position
-                )
-                if publisher is not None:
-                    publisher.drain(release_queue)
-                    routed_all = publisher.publish(routed_all)
-                for worker, routed in enumerate(routed_all):
-                    if routed is not None:
-                        self._put_alive(in_queues[worker], routed,
-                                        workers[worker], worker)
-                position += len(chunk[0])
-            for worker, queue in enumerate(in_queues):
-                self._put_alive(queue, None, workers[worker], worker)
-            outcomes = self._gather_outcomes(out_queue, workers)
-            clean = True
-        finally:
-            for process in workers:
-                # On an error path the surviving workers may still be
-                # blocked waiting for chunks that will never come —
-                # don't stall a full join timeout per worker before
-                # surfacing it.
-                if not clean and process.is_alive():
-                    process.terminate()
-                process.join(timeout=self.WORKER_JOIN_TIMEOUT_S)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=self.TERMINATE_JOIN_TIMEOUT_S)
-            if publisher is not None:
-                publisher.close()
-        return self._collect(outcomes)
-
-    def _put_alive(self, queue, item, process, worker) -> None:
-        """Bounded-queue put that notices a dead or wedged consumer.
-
-        A worker killed abnormally (OOM, segfault) never drains its
-        queue; an unconditional blocking put would hang the parent
-        forever once the queue fills.  A worker that is alive but has
-        stopped consuming (deadlocked processor) is given up on after
-        ``QUEUE_PUT_DEADLINE_S``.
-        """
-        deadline = time.monotonic() + self.QUEUE_PUT_DEADLINE_S
-        while True:
-            try:
-                queue.put(item, timeout=self.QUEUE_PUT_TIMEOUT_S)
-                return
-            except queue_module.Full:
-                if not process.is_alive():
-                    raise RuntimeError(
-                        f"sharded worker {worker} terminated abnormally "
-                        f"(exit code {process.exitcode}) while the stream "
-                        f"was still being routed to it"
-                    ) from None
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        f"sharded worker {worker} stopped consuming its "
-                        f"chunk queue for {self.QUEUE_PUT_DEADLINE_S:g}s "
-                        f"while still alive; giving up routing to it"
-                    ) from None
-
-    def _gather_outcomes(self, out_queue, workers):
-        """Collect one result per worker, noticing abnormal deaths.
-
-        A worker that hits a Python-level error reports it through the
-        queue; a worker killed by the OS never does, so waiting must
-        watch process liveness rather than block forever.
-        """
-        outcomes = []
-        pending = set(range(self.n_workers))
-        while pending:
-            try:
-                outcome = out_queue.get(timeout=self.RESULT_POLL_TIMEOUT_S)
-            except queue_module.Empty:
-                dead = [w for w in pending if not workers[w].is_alive()]
-                if dead:
-                    # Grace period: a result already sent may still be
-                    # in the pipe after the sender exited.
-                    try:
-                        outcome = out_queue.get(
-                            timeout=self.RESULT_GRACE_TIMEOUT_S
-                        )
-                    except queue_module.Empty:
-                        codes = {w: workers[w].exitcode for w in dead}
-                        raise RuntimeError(
-                            f"sharded worker(s) {sorted(dead)} terminated "
-                            f"abnormally without reporting a result "
-                            f"(exit codes {codes})"
-                        ) from None
-                else:
-                    continue
-            if (
-                not isinstance(outcome, tuple)
-                or len(outcome) != 3
-                or not isinstance(outcome[0], int)
-                or not 0 <= outcome[0] < self.n_workers
-            ):
-                raise ShardedWorkerError(
-                    f"sharded worker returned a corrupt result message: "
-                    f"{outcome!r}",
-                    cause_type="CorruptResult",
-                )
-            outcomes.append(outcome)
-            pending.discard(outcome[0])
-        return outcomes
-
-    def _collect(self, outcomes) -> List[Dict[str, Any]]:
-        """Order worker results 0..W-1, surfacing worker tracebacks."""
-        completed: List[Optional[Dict[str, Any]]] = [None] * self.n_workers
-        for worker, processors, error in outcomes:
-            if error is not None:
-                cause_type, is_stream_error, formatted, _retryable = error
-                raise ShardedWorkerError(
-                    f"sharded worker {worker} failed:\n{formatted}",
-                    cause_type=cause_type,
-                    is_stream_error=is_stream_error,
-                    worker=worker,
-                )
-            completed[worker] = processors
-        return completed  # type: ignore[return-value]
-
 
 def run_sharded(
     processors: Mapping[str, Any],
@@ -1563,7 +1316,6 @@ def run_sharded(
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    shm_transport: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """One-shot convenience: build a ShardedRunner, run it, return answers.
 
@@ -1585,5 +1337,4 @@ def run_sharded(
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
         fault_plan=fault_plan,
-        shm_transport=shm_transport,
     ).run(source)

@@ -307,8 +307,8 @@ class ExecSpec:
     * ``"sharded"`` — a :class:`~repro.engine.sharded.ShardedRunner`
       over ``workers`` processes, merging shard summaries.
 
-    The fault-tolerance knobs apply to the sharded backend's
-    file-source workers (see :mod:`repro.engine.sharded`):
+    The fault-tolerance knobs apply to the sharded backend's workers
+    (see :mod:`repro.engine.sharded`):
 
     * ``retries`` — respawns of a dead/timed-out shard worker;
     * ``timeout_s`` — per-shard wall-clock budget (``None`` = none);
@@ -649,7 +649,7 @@ def validate_spec(spec: PipelineSpec) -> List[Diagnostic]:
         bad("execution.on_failure",
             f"on_failure={execution.on_failure!r} requires the sharded "
             f"backend, got backend={execution.backend!r}",
-            "only sharded file-source workers can be retried")
+            "only sharded workers can be retried")
 
     checkpoint = spec.checkpoint
     if checkpoint is not None:

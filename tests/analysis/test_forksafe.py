@@ -1,8 +1,6 @@
 """Fork/pickle-safety rule family: exact rule ids and line numbers."""
 
-from pathlib import Path
-
-from repro.analysis import ModuleSource, check_forksafe
+from repro.analysis import check_forksafe
 
 
 class TestForksafeBad:
@@ -42,11 +40,3 @@ class TestForksafeGood:
     def test_driver_side_resources_allowed(self, load_source):
         assert check_forksafe(load_source("fork_good")) == []
 
-
-class TestShmHome:
-    def test_engine_shm_module_itself_is_exempt(self):
-        source = ModuleSource.load(
-            Path("src/repro/engine/shm.py"), "repro/engine/shm.py"
-        )
-        rules = {f.rule for f in check_forksafe(source)}
-        assert "forksafe/shm-outside-engine" not in rules

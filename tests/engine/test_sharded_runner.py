@@ -7,7 +7,7 @@ from repro.baselines import CountMinSketch, MisraGries
 from repro.core.insertion_only import InsertionOnlyFEwW
 from repro.core.windowed import TumblingWindowFEwW
 from repro.engine import ShardedRunner, run_sharded, vertex_shard
-from repro.engine.sharded import route_chunk
+from repro.engine.sharded import fork_available, route_chunk
 from repro.streams.columnar import ColumnarEdgeStream
 
 
@@ -169,8 +169,9 @@ class TestExecution:
 
     def test_abnormal_worker_death_raises_instead_of_hanging(self):
         """A worker killed by the OS (simulated with os._exit, which
-        skips the Python-level error reporting and queue draining) must
-        surface as a RuntimeError, not a parent that blocks forever."""
+        skips the Python-level error reporting) must surface as a
+        RuntimeError once its result pipe reaches EOF, not as a parent
+        that blocks forever."""
 
         class DyingProcessor:
             shard_routing = "any"
@@ -226,6 +227,25 @@ class TestExecution:
             {"alg2": InsertionOnlyFEwW(4, 2, 2, seed=0)}, empty, n_workers=2
         )
         assert results == {"alg2": None}
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_in_memory_plain_run_merges_in_the_workers(self, monkeypatch):
+        taken = []
+        original = ShardedRunner._run_file_tree
+
+        def spy(self, *args, **kwargs):
+            taken.append(True)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedRunner, "_run_file_tree", spy)
+        stream = small_stream()
+        results = run_sharded(
+            {"cm": CountMinSketch(0.1, 0.1, seed=1)}, stream, n_workers=2
+        )
+        single = CountMinSketch(0.1, 0.1, seed=1)
+        single.process_batch(stream.a, stream.b, stream.sign)
+        assert taken
+        assert np.array_equal(results["cm"]._table, single._table)
 
 
 class TestSplitGuards:

@@ -126,7 +126,10 @@ class TestMidStreamQuerying:
 # -- engine chaos ------------------------------------------------------
 #
 # Everything below drives the fault-tolerance machinery with
-# deterministic FaultPlans over a file-backed stream.  The invariant
+# deterministic FaultPlans over a file-backed stream; the shard-retry
+# cases also run over the same stream held in memory, whose forked
+# workers take the same pool.  Fault coordinates are global chunk
+# indices for every kind of source.  The invariant
 # throughout: any run that *recovers* (retry, fallback, resume) must
 # produce answers bit-identical to an unfaulted single-core pass.
 
@@ -152,6 +155,21 @@ def stream_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture(params=["file", "memory", "chunks"])
+def source(request):
+    """The chaos stream as a v2 file path, as the in-memory stream, or
+    as a one-shot generator of chunks (read once, before the fork)."""
+    if request.param == "file":
+        return request.getfixturevalue("stream_file")
+    stream = chaos_stream()
+    if request.param == "memory":
+        return stream
+    return (
+        (stream.a[start:start + CHUNK], stream.b[start:start + CHUNK], None)
+        for start in range(0, N_UPDATES, CHUNK)
+    )
+
+
 def reference_table():
     stream = chaos_stream()
     sketch = CountMinSketch(0.05, 0.05, seed=5)
@@ -175,7 +193,7 @@ def chaos_runner(**kwargs):
 class TestShardRetry:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_killed_worker_retried_to_bit_identical_answers(
-        self, stream_file, workers
+        self, source, workers
     ):
         """SIGKILL mid-stream at 1/2/4 workers: the shard is re-run
         from its pristine split and the merged table matches an
@@ -186,21 +204,21 @@ class TestShardRetry:
             on_failure="retry",
             fault_plan=FaultPlan.kill(worker=0, chunk=1),
         )
-        results = runner.run(stream_file)
+        results = runner.run(source)
         assert np.array_equal(results["cm"]._table, reference_table())
         assert runner.retries_used == 1
 
-    def test_transient_read_error_retried(self, stream_file):
+    def test_transient_read_error_retried(self, source):
         runner = chaos_runner(
             retries=2,
             on_failure="retry",
             fault_plan=FaultPlan.read_error(worker=1, chunk=0),
         )
-        results = runner.run(stream_file)
+        results = runner.run(source)
         assert np.array_equal(results["cm"]._table, reference_table())
         assert runner.retries_used == 1
 
-    def test_deterministic_error_is_not_retried(self, stream_file):
+    def test_deterministic_error_is_not_retried(self, source):
         """A ValueError is a bug, not weather: re-running the shard
         would fail identically, so it surfaces immediately — with the
         worker's formatted traceback."""
@@ -213,27 +231,27 @@ class TestShardRetry:
             ),
         )
         with pytest.raises(ShardedWorkerError, match="deterministic bug"):
-            runner.run(stream_file)
+            runner.run(source)
         assert runner.retries_used == 0
 
-    def test_worker_traceback_travels_to_the_parent(self, stream_file):
+    def test_worker_traceback_travels_to_the_parent(self, source):
         runner = chaos_runner(
             fault_plan=FaultPlan.read_error(
                 worker=0, chunk=1, exc="RuntimeError", message="deep frame"
             ),
         )
         with pytest.raises(ShardedWorkerError) as excinfo:
-            runner.run(stream_file)
+            runner.run(source)
         assert "Traceback" in str(excinfo.value)
         assert excinfo.value.cause_type == "RuntimeError"
 
-    def test_raise_policy_fails_fast_on_worker_death(self, stream_file):
+    def test_raise_policy_fails_fast_on_worker_death(self, source):
         runner = chaos_runner(
             retries=2,  # irrelevant under on_failure="raise"
             fault_plan=FaultPlan.kill(worker=0, chunk=1),
         )
         with pytest.raises(ShardedWorkerError, match="terminated abnormally"):
-            runner.run(stream_file)
+            runner.run(source)
         assert runner.retries_used == 0
 
     def _always_kill_worker_zero(self):
@@ -243,17 +261,17 @@ class TestShardRetry:
             + FaultPlan.kill(worker=0, chunk=1, attempt=2)
         )
 
-    def test_retries_exhausted_raises(self, stream_file):
+    def test_retries_exhausted_raises(self, source):
         runner = chaos_runner(
             retries=2,
             on_failure="retry",
             fault_plan=self._always_kill_worker_zero(),
         )
         with pytest.raises(ShardedWorkerError, match="terminated abnormally"):
-            runner.run(stream_file)
+            runner.run(source)
         assert runner.retries_used == 2
 
-    def test_serial_fallback_recovers_bit_identically(self, stream_file):
+    def test_serial_fallback_recovers_bit_identically(self, source):
         """When every retry dies, serial_fallback re-runs just that
         shard in-process and the answer is still exact."""
         runner = chaos_runner(
@@ -261,12 +279,12 @@ class TestShardRetry:
             on_failure="serial_fallback",
             fault_plan=self._always_kill_worker_zero(),
         )
-        results = runner.run(stream_file)
+        results = runner.run(source)
         assert np.array_equal(results["cm"]._table, reference_table())
         assert runner.retries_used == 2
         assert runner.fallbacks_used == 1
 
-    def test_dropped_result_detected_as_worker_death(self, stream_file):
+    def test_dropped_result_detected_as_worker_death(self, source):
         """A worker that exits cleanly without reporting (message lost)
         is indistinguishable from a crash — and recovered the same way."""
         runner = chaos_runner(
@@ -274,11 +292,11 @@ class TestShardRetry:
             on_failure="retry",
             fault_plan=FaultPlan.drop_result(worker=1, attempt=0),
         )
-        results = runner.run(stream_file)
+        results = runner.run(source)
         assert np.array_equal(results["cm"]._table, reference_table())
         assert runner.retries_used == 1
 
-    def test_corrupt_result_rejected_outright(self, stream_file):
+    def test_corrupt_result_rejected_outright(self, source):
         """A malformed result message means the channel itself cannot
         be trusted; that is never retried."""
         runner = chaos_runner(
@@ -287,11 +305,11 @@ class TestShardRetry:
             fault_plan=FaultPlan.corrupt_result(worker=0),
         )
         with pytest.raises(ShardedWorkerError) as excinfo:
-            runner.run(stream_file)
+            runner.run(source)
         assert excinfo.value.cause_type == "CorruptResult"
         assert runner.retries_used == 0
 
-    def test_timeout_enforced_and_retried(self, stream_file):
+    def test_timeout_enforced_and_retried(self, source):
         """A wedged worker (first attempt sleeps past timeout_s) is
         killed and retried; the clean second attempt is exact."""
         runner = chaos_runner(
@@ -302,7 +320,7 @@ class TestShardRetry:
                 worker=0, chunk=0, delay_s=10.0, attempt=0
             ),
         )
-        results = runner.run(stream_file)
+        results = runner.run(source)
         assert np.array_equal(results["cm"]._table, reference_table())
         assert runner.retries_used == 1
 

@@ -16,7 +16,8 @@ For every processor family, a :class:`~repro.engine.ShardedRunner` at
   answers in the general (evicting) regime.
 
 A from-disk source (v2 NPZ, memory-mapped, workers self-reading) is
-covered alongside the in-memory queue path.
+covered alongside in-memory sources (chunked once in the parent and
+inherited by the forked workers).
 """
 
 import math
@@ -128,10 +129,13 @@ class TestBitIdenticalLinearSketches:
         assert np.array_equal(single["cm"]._table, sharded["cm"]._table)
 
     @pytest.mark.parametrize("workers", WORKERS)
-    def test_count_sketch_tables_equal(self, zipf, workers):
+    @pytest.mark.parametrize("stream", ["zipf", "churn"])
+    def test_count_sketch_tables_equal(self, request, stream, workers):
+        """``churn`` adds signed updates: deletions cancel across shards."""
+        source = request.getfixturevalue(stream)
         factory = lambda: {"cs": CountSketch(64, rows=3, seed=6)}
-        single, _ = single_pass(factory, zipf)
-        sharded, _ = sharded_pass(factory, zipf, workers)
+        single, _ = single_pass(factory, source)
+        sharded, _ = sharded_pass(factory, source, workers)
         assert np.array_equal(single["cs"]._table, sharded["cs"]._table)
 
     @pytest.mark.parametrize("workers", WORKERS)
